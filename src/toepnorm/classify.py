@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import normality
+from .normality import NormalityReport
 from .polyid import eval_at_point, trig_coeffs
-from .scalar import ScalarPolicy, abs_sq, as_complex, rational_unit_circle
+from .scalar import ScalarPolicy, abs_sq, rational_unit_circle
 from .toeplitz import ToeplitzSpec
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "classify_real",
     "classify_via_proof",
     "extract_unit_ratio",
+    "trace_to_json",
 ]
 
 
@@ -163,7 +164,7 @@ def _is_degenerate(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
 
 def _max_dev(target, source, factor) -> float:
     return max(
-        abs(as_complex(t) - as_complex(factor) * as_complex(s))
+        abs(complex(t) - complex(factor) * complex(s))
         for t, s in zip(target, source)
     )
 
@@ -176,13 +177,15 @@ def _conj_vec(v) -> tuple:
     return tuple(z.conjugate() for z in v)
 
 
-def classify_complex(spec: ToeplitzSpec, policy: ScalarPolicy) -> ClassificationResult:
+def classify_complex(
+    spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport
+) -> ClassificationResult:
     """Direct-route classification: ratio the coefficient vectors.
 
-    Both witnesses are always tested and reported; a normal non-degenerate
-    spec matching neither raises :class:`TheoremViolation`.
+    ``report`` is the spec's :func:`toepnorm.normality.check` result.  Both
+    witnesses are always tested and reported; a normal non-degenerate spec
+    matching neither raises :class:`TheoremViolation`.
     """
-    report = normality.check(spec, policy)
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
     if _is_degenerate(spec, policy):
@@ -206,8 +209,8 @@ def classify_complex(spec: ToeplitzSpec, policy: ScalarPolicy) -> Classification
 
 def _near_miss(spec: ToeplitzSpec) -> dict:
     """Best-effort float deviations of both conditions, for diagnostics."""
-    up = [as_complex(z) for z in spec.upper]
-    lo = [as_complex(z) for z in spec.lower]
+    up = [complex(z) for z in spec.upper]
+    lo = [complex(z) for z in spec.lower]
     out = {}
     for name, src in (("type_I", [z.conjugate() for z in lo]), ("type_II", lo[::-1])):
         pivot = next((k for k, d in enumerate(src) if d != 0), None)
@@ -238,17 +241,16 @@ def _sample_points(spec: ToeplitzSpec):
     return [(2 * math.pi * j / m, cmath.exp(2j * math.pi * j / m)) for j in range(m)]
 
 
-def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy):
+def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport):
     """Constructive route: derive both witnesses from one good sample of t.
 
     Scans the sample grid for x0 maximizing |t|; at that point
     alpha = s(x0)/t(x0) and beta = t(x0)/conj(t(x0)) yield the candidates
     alpha0 = alpha*beta and beta0 = conj(alpha) * w0^{N+1}, which are then
-    verified coefficient-wise.  Returns (result, trace).  Callers are
-    expected to have checked normality; a failing spec is returned as
-    NotNormal with an empty trace.
+    verified coefficient-wise.  Returns (result, trace).  ``report`` is the
+    spec's :func:`toepnorm.normality.check` result; a spec it finds not
+    normal is returned as NotNormal with an empty trace.
     """
-    report = normality.check(spec, policy)
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report), ProofTrace()
     s, t = trig_coeffs(spec)
@@ -300,16 +302,18 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy):
     return result, trace
 
 
-def classify_real(spec: ToeplitzSpec, policy: ScalarPolicy) -> RealClassificationResult:
+def classify_real(
+    spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport
+) -> RealClassificationResult:
     """Label a real spec with every +-1 specialization that holds.
 
     Symmetric / SkewSymmetric are alpha0 = +1 / -1; Circulant /
-    SkewCirculant are beta0 = +1 / -1.  A normal non-degenerate real spec
-    earning no label raises :class:`TheoremViolation`.
+    SkewCirculant are beta0 = +1 / -1.  ``report`` is the spec's
+    :func:`toepnorm.normality.check` result.  A normal non-degenerate real
+    spec earning no label raises :class:`TheoremViolation`.
     """
     if not spec.is_real:
         raise ValueError("real classification requires real entries")
-    report = normality.check(spec, policy)
     if not report.is_normal_fast:
         return RealClassificationResult(Verdict.NOT_NORMAL, frozenset(), normality=report)
     if _is_degenerate(spec, policy):

@@ -36,7 +36,7 @@ from .genlab import (
     enumerate_and_verify,
     generate,
 )
-from .normality import check, fast_max_residual, report_to_json
+from .normality import check, fast_max_residual, report_to_json, residual_scale
 from .polyid import (
     identity16_holds,
     identity14_check,
@@ -146,15 +146,16 @@ def _witnesses_match(a, b, policy) -> bool:
 def _cmd_classify(args) -> int:
     spec = _read_spec(args.input)
     policy = _policy_for(spec, args)
+    report = check(spec, policy)
     real = None
     if args.route in ("direct", "both"):
-        direct = classify_complex(spec, policy)
+        direct = classify_complex(spec, policy, report)
         if spec.is_real:
-            real = classify_real(spec, policy)
+            real = classify_real(spec, policy, report)
     if args.route in ("proof", "both"):
-        proof, trace = classify_via_proof(spec, policy)
+        proof, trace = classify_via_proof(spec, policy, report)
         if args.route == "proof" and spec.is_real:
-            real = classify_real(spec, policy)
+            real = classify_real(spec, policy, report)
     if args.route == "direct":
         _emit(classification_to_json(direct, real))
         _note(f"verdict: {direct.verdict.value}")
@@ -211,7 +212,7 @@ def _cmd_verify_identities(args) -> int:
         else:
             if not spec.is_real:
                 raise SpecFormatError("identity 16 needs a real spec")
-            scale = 0.0 if spec.is_exact else spec.n * spec.max_abs() ** 2
+            scale = residual_scale(spec)
             f1, f2 = factor_polys(spec)
             results["16"] = {
                 "holds": identity16_holds(spec, policy),

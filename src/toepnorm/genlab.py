@@ -25,7 +25,8 @@ from .classify import (
     classify_complex,
     classify_real,
 )
-from .scalar import GaussianRational, ScalarPolicy, as_complex, rational_unit_circle
+from .normality import check
+from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
 from .toeplitz import ToeplitzSpec, from_diagonals, spec_to_json
 
 __all__ = [
@@ -99,7 +100,7 @@ def _draw_complex(rng: random.Random, bound, exact: bool):
 def _default_witness(rng: random.Random, exact: bool):
     u = Fraction(rng.randint(-_DRAW_DEN, _DRAW_DEN), rng.randint(1, _DRAW_DEN))
     w = rational_unit_circle(u)
-    return w if exact else as_complex(w)
+    return w if exact else complex(w)
 
 
 def generate(req: GenRequest) -> ToeplitzSpec:
@@ -224,15 +225,16 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     for combo in itertools.product(values, repeat=2 * req.n):
         diag = combo[: req.n] + (0,) + combo[req.n :]
         spec = from_diagonals(diag)
+        report = check(spec, policy)
         try:
             if req.real_only:
-                res = classify_real(spec, policy)
+                res = classify_real(spec, policy, report)
             else:
-                res = classify_complex(spec, policy)
+                res = classify_complex(spec, policy, report)
         except TheoremViolation as exc:
             violations.append({"spec": spec_to_json(spec), "error": str(exc)})
             continue
-        if not res.normality.agrees:
+        if not report.agrees:
             violations.append(
                 {
                     "spec": spec_to_json(spec),

@@ -5,10 +5,13 @@ A Toeplitz matrix is normal iff every residual
     r(m, n) = a_m*conj(a_n) - conj(a_{-m})*a_{-n}
               + conj(a_{N+1-m})*a_{N+1-n} - a_{-(N+1-m)}*conj(a_{-(N+1-n)})
 
-vanishes for 1 <= m, n <= N.  That is an O(N^2) test; the dense commutator
-from :mod:`toepnorm.toeplitz` is the independent O(N^3) ground truth, and
-:func:`check` always runs both and records whether they agree.  The residual
-table is Hermitian (r(m, n) = conj(r(n, m))), so failures always come in
+vanishes for 1 <= m, n <= N.  That is an O(N^2) test with one kernel per
+domain: Gaussian-integer pairs in exact mode, numpy outer products in
+approximate mode.  The dense commutator from :mod:`toepnorm.toeplitz` is
+the independent O(N^3) ground truth, and :func:`check` always runs both and
+records whether they agree.  Both verdicts are taken at one threshold on
+the scale N * max|a_k|^2 (:func:`residual_scale`).  The residuals form a
+Hermitian table (r(m, n) = conj(r(n, m))), so failures always come in
 conjugate pairs.
 """
 
@@ -19,21 +22,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalar import ScalarPolicy, abs_sq
-from .toeplitz import ToeplitzSpec, commutator_norm
+from .scalar import ScalarPolicy
+from .toeplitz import ToeplitzSpec, _int_diag, commutator_norm
 
 __all__ = [
     "NormalityReport",
     "check",
     "fast_max_residual",
+    "is_normal",
     "report_to_json",
     "residual",
-    "residual_table",
+    "residual_scale",
 ]
 
 
 def residual(spec: ToeplitzSpec, m: int, n: int):
-    """Single residual r(m, n); indices must satisfy 1 <= m, n <= N."""
+    """Single residual r(m, n); indices must satisfy 1 <= m, n <= N.
+
+    Written straight from the formula; it is the reference the scan is
+    tested against.
+    """
     N = spec.n
     if not (1 <= m <= N and 1 <= n <= N):
         raise ValueError(f"residual indices must lie in 1..{N}, got ({m}, {n})")
@@ -46,22 +54,39 @@ def residual(spec: ToeplitzSpec, m: int, n: int):
     )
 
 
-def _table_exact(spec: ToeplitzSpec) -> list:
+def residual_scale(spec: ToeplitzSpec) -> float:
+    """N * max|a_k|^2, the natural magnitude of one residual (0 when exact)."""
+    return 0.0 if spec.is_exact else spec.n * spec.max_abs() ** 2
+
+
+def _max_exact(spec: ToeplitzSpec):
+    """Largest |r(m, n)|^2 and its first pair, on the cleared integers.
+
+    Every residual is the integer residual of the L-scaled entries divided
+    by L^2, so |r|^2 is the integer maximum divided by L^4.  The table is
+    Hermitian, so the first row-major maximum lies on or above the diagonal
+    and only n >= m is scanned.
+    """
+    re, im, lcm = _int_diag(spec)
     N = spec.n
-    lo, up = spec.lower, spec.upper
-    loc = tuple(z.conjugate() for z in lo)
-    upc = tuple(z.conjugate() for z in up)
-    rows = []
+    # Column n-1 holds a_n, a_{-n}, a_{N+1-n}, a_{-(N+1-n)} as (re, im).
+    xr, xi = re[N + 1 :], im[N + 1 :]
+    yr, yi = re[N - 1 :: -1], im[N - 1 :: -1]
+    cols = list(zip(xr, xi, yr, yi, xr[::-1], xi[::-1], yr[::-1], yi[::-1]))
+    best, pair = 0, (1, 1)
     for m in range(1, N + 1):
-        a, b = lo[m - 1], upc[m - 1]
-        c, d = loc[N - m], up[N - m]
-        rows.append(
-            [
-                a * loc[n - 1] - b * up[n - 1] + c * lo[N - n] - d * upc[N - n]
-                for n in range(1, N + 1)
-            ]
-        )
-    return rows
+        ar, ai, br, bi, cr, ci, dr, di = cols[m - 1]
+        for n, (pr, pi, qr, qi, ur, ui, vr, vi) in enumerate(cols[m - 1 :], start=m):
+            # a_m conj(a_n) - conj(a_-m) a_-n + conj(a_{N+1-m}) a_{N+1-n}
+            # - a_{-(N+1-m)} conj(a_{-(N+1-n)}), split into re and im
+            rr = (ar * pr + ai * pi - br * qr - bi * qi
+                  + cr * ur + ci * ui - dr * vr - di * vi)
+            ri = (ai * pr - ar * pi - br * qi + bi * qr
+                  + cr * ui - ci * ur - di * vr + dr * vi)
+            s = rr * rr + ri * ri
+            if s > best:
+                best, pair = s, (m, n)
+    return Fraction(best, lcm**4), pair
 
 
 def _table_np(spec: ToeplitzSpec) -> np.ndarray:
@@ -77,13 +102,6 @@ def _table_np(spec: ToeplitzSpec) -> np.ndarray:
     )
 
 
-def residual_table(spec: ToeplitzSpec):
-    """Full N x N residual table; nested lists in exact mode, ndarray else."""
-    if spec.is_exact:
-        return _table_exact(spec)
-    return _table_np(spec)
-
-
 def fast_max_residual(spec: ToeplitzSpec):
     """Max-only residual scan: (magnitude, (m, n)) without keeping the table.
 
@@ -91,25 +109,22 @@ def fast_max_residual(spec: ToeplitzSpec):
     plain magnitude.  Ties resolve to the first pair in row-major order.
     """
     if spec.is_exact:
-        best = Fraction(0)
-        pair = (1, 1)
-        N = spec.n
-        lo, up = spec.lower, spec.upper
-        loc = tuple(z.conjugate() for z in lo)
-        upc = tuple(z.conjugate() for z in up)
-        for m in range(1, N + 1):
-            a, b = lo[m - 1], upc[m - 1]
-            c, d = loc[N - m], up[N - m]
-            for n in range(1, N + 1):
-                r = a * loc[n - 1] - b * up[n - 1] + c * lo[N - n] - d * upc[N - n]
-                s = abs_sq(r)
-                if s > best:
-                    best, pair = s, (m, n)
-        return best, pair
+        return _max_exact(spec)
     mags = np.abs(_table_np(spec))
     flat = int(np.argmax(mags))
     m, n = divmod(flat, spec.n)
     return float(mags.flat[flat]), (m + 1, n + 1)
+
+
+def _threshold(spec: ToeplitzSpec, policy: ScalarPolicy):
+    if policy.is_exact != spec.is_exact:
+        raise ValueError("policy mode must match the spec's arithmetic domain")
+    return policy.threshold(residual_scale(spec))
+
+
+def is_normal(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
+    """The element-wise verdict alone: every residual within the threshold."""
+    return fast_max_residual(spec)[0] <= _threshold(spec, policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +137,6 @@ class NormalityReport:
     a disagreement is surfaced, never reconciled.
     """
 
-    residuals: object
     max_residual: object
     worst_pair: tuple
     is_normal_fast: bool
@@ -135,51 +149,21 @@ class NormalityReport:
 def check(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
     """Run the element-wise test and the dense oracle, report both verdicts.
 
-    The Approx zero test for both paths uses scale S = N * (max|a_k|)^2,
-    the natural magnitude of one residual.
+    Both are judged at the threshold for :func:`residual_scale`: literal
+    zero in exact mode.
     """
-    if policy.is_exact != spec.is_exact:
-        raise ValueError("policy mode must match the spec's arithmetic domain")
-    table = residual_table(spec)
-    if spec.is_exact:
-        best = Fraction(0)
-        pair = (1, 1)
-        for m, row in enumerate(table, start=1):
-            for n, r in enumerate(row, start=1):
-                s = abs_sq(r)
-                if s > best:
-                    best, pair = s, (m, n)
-        fast_ok = best == 0
-        oracle = commutator_norm(spec)
-        oracle_ok = oracle.value == 0
-        return NormalityReport(
-            residuals=table,
-            max_residual=best,
-            worst_pair=pair,
-            is_normal_fast=fast_ok,
-            oracle_norm=oracle.value,
-            squared=True,
-            agrees=fast_ok == oracle_ok,
-            exact=True,
-        )
-    mags = np.abs(table)
-    flat = int(np.argmax(mags))
-    m, n = divmod(flat, spec.n)
-    best = float(mags.flat[flat])
-    scale = spec.n * spec.max_abs() ** 2
-    thresh = policy.threshold(scale)
+    thresh = _threshold(spec, policy)
+    best, pair = fast_max_residual(spec)
     fast_ok = best <= thresh
     oracle = commutator_norm(spec)
-    oracle_ok = oracle.value <= thresh
     return NormalityReport(
-        residuals=table,
         max_residual=best,
-        worst_pair=(m + 1, n + 1),
+        worst_pair=pair,
         is_normal_fast=fast_ok,
         oracle_norm=oracle.value,
-        squared=False,
-        agrees=fast_ok == oracle_ok,
-        exact=False,
+        squared=spec.is_exact,
+        agrees=fast_ok == (oracle.value <= thresh),
+        exact=spec.is_exact,
     )
 
 

@@ -15,6 +15,7 @@ keeps one arithmetic kernel for both domains, and for real and complex data.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -28,8 +29,6 @@ __all__ = [
     "ScalarPolicy",
     "SpecFormatError",
     "abs_sq",
-    "as_complex",
-    "is_unit_modulus",
     "rational_unit_circle",
     "scalar_from_json",
     "scalar_to_json",
@@ -180,11 +179,6 @@ def abs_sq(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def as_complex(z) -> complex:
-    """Convert any supported scalar to built-in complex."""
-    return complex(z)
-
-
 def rational_unit_circle(u) -> GaussianRational:
     """Exact point ((1-u^2) + 2u*i) / (1+u^2) on the unit circle.
 
@@ -249,11 +243,6 @@ class ScalarPolicy:
         return abs(abs_sq(z) - 1.0) <= max(self.eps_rel, self.eps_abs_floor)
 
 
-def is_unit_modulus(z, policy: ScalarPolicy) -> bool:
-    """True when |z| = 1 under the policy (exact equality in Exact mode)."""
-    return policy.is_unit_modulus(z)
-
-
 def scalar_to_json(z):
     """Encode a scalar: fraction strings for exact values, numbers otherwise."""
     if isinstance(z, bool):
@@ -283,5 +272,11 @@ def scalar_from_json(obj):
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"bad fraction string in scalar: {obj!r}") from exc
     if _json_number(re) and _json_number(im):
-        return complex(re, im)
+        try:
+            z = complex(re, im)
+        except OverflowError as exc:
+            raise SpecFormatError(f"number out of float range in scalar: {obj!r}") from exc
+        if not cmath.isfinite(z):
+            raise SpecFormatError(f"non-finite number in scalar: {obj!r}")
+        return z
     raise SpecFormatError(f"scalar parts must be both strings or both numbers: {obj!r}")

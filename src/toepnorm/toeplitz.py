@@ -11,9 +11,9 @@ the dense products are formed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,8 +21,6 @@ import numpy as np
 from .scalar import (
     GaussianRational,
     SpecFormatError,
-    abs_sq,
-    as_complex,
     scalar_from_json,
     scalar_to_json,
 )
@@ -98,7 +96,7 @@ class ToeplitzSpec:
 
     def as_approx(self) -> "ToeplitzSpec":
         """The same matrix with every entry converted to complex."""
-        return ToeplitzSpec(self.n, tuple(as_complex(z) for z in self.diag))
+        return ToeplitzSpec(self.n, tuple(complex(z) for z in self.diag))
 
 
 _SCALAR_TYPES = (int, Fraction, GaussianRational, float, complex)
@@ -120,7 +118,7 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
         if isinstance(e, bool) or not isinstance(e, _SCALAR_TYPES):
             raise SpecFormatError(f"not a scalar entry: {e!r}")
     if any(isinstance(e, (float, complex)) for e in entries):
-        diag = tuple(as_complex(e) for e in entries)
+        diag = tuple(complex(e) for e in entries)
     elif all(e.imag == 0 for e in entries):
         diag = tuple(Fraction(e.real) for e in entries)
     else:
@@ -263,6 +261,13 @@ def commutator_norm(spec: ToeplitzSpec) -> OracleNorm:
     return OracleNorm(float(np.linalg.norm(_commutator_np(spec))), False)
 
 
+# Bound on (N+1) * c, c the largest off-diagonal |re| or |im|, under which
+# every float the analyses form stays finite.  The oracle's Frobenius norm
+# sums the squares of (N+1)^2 commutator entries of modulus at most
+# 2(N+1) max|a_k|^2 <= 4(N+1) c^2, a sum below 16 ((N+1) c)^4.
+_FLOAT_RANGE = sys.float_info.max**0.25 / 2
+
+
 def spec_to_json(spec: ToeplitzSpec) -> dict:
     return {"n": spec.n, "diag": [scalar_to_json(z) for z in spec.diag]}
 
@@ -280,4 +285,12 @@ def spec_from_json(obj) -> ToeplitzSpec:
     kinds = {isinstance(e, complex) for e in entries}
     if len(kinds) > 1:
         raise SpecFormatError("diag mixes exact and floating entries")
+    if isinstance(entries[0], complex):
+        big = float(np.abs(np.asarray(entries[:n] + entries[n + 1 :]).view(float)).max())
+        limit = _FLOAT_RANGE / (n + 1)
+        if big > limit:
+            raise SpecFormatError(
+                f"float entries too large for n={n}: largest component {big!r} "
+                f"exceeds {limit:.3g}"
+            )
     return from_diagonals(entries)

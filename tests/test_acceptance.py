@@ -86,7 +86,7 @@ def _real_census(n, shared_cache):
     for combo in itertools.product(INT2, repeat=2 * n):
         counts["total"] += 1
         spec = from_diagonals(combo[:n] + (Fraction(0),) + combo[n:])
-        res = classify_real(spec, EXACT)
+        res = classify_real(spec, EXACT, check(spec, EXACT))
         assert res.normality.agrees
         if res.verdict is Verdict.NOT_NORMAL:
             continue
@@ -178,8 +178,9 @@ def test_criterion_4_generator_soundness(shared_cache):
 
 
 def _routes_agree(spec, policy):
-    direct = classify_complex(spec, policy)
-    proved, _ = classify_via_proof(spec, policy)
+    report = check(spec, policy)
+    direct = classify_complex(spec, policy, report)
+    proved, _ = classify_via_proof(spec, policy, report)
     if direct.verdict is not proved.verdict:
         return False
     for a, b in ((direct.type_I, proved.type_I), (direct.type_II, proved.type_II)):
@@ -282,7 +283,7 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
     }
     for specs in pools:
         for spec, labels in specs:
-            res = classify_complex(spec, EXACT)
+            res = classify_complex(spec, EXACT, check(spec, EXACT))
             assert res.verdict is Verdict.CLASSIFIED
             for witness in (res.type_I, res.type_II):
                 if witness is not None:
@@ -295,7 +296,8 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
             seen += 1
     assert seen >= 80
     for n in (2, 3):  # the lone all-zero normal spec stays witness-free
-        res = classify_complex(from_diagonals((Fraction(0),) * (2 * n + 1)), EXACT)
+        zero = from_diagonals((Fraction(0),) * (2 * n + 1))
+        res = classify_complex(zero, EXACT, check(zero, EXACT))
         assert res.verdict is Verdict.DEGENERATE
         assert res.type_I is None and res.type_II is None
     _passed(7, f"complex-route witnesses on {seen} real specs are exactly +-1")

@@ -20,6 +20,7 @@ from toepnorm.classify import (
     trace_to_json,
 )
 from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.normality import check
 from toepnorm.scalar import (
     GaussianRational,
     ScalarPolicy,
@@ -32,6 +33,11 @@ EXACT = ScalarPolicy.exact()
 APPROX = ScalarPolicy.approx()
 
 unit_params = st.fractions(min_value=-10, max_value=10, max_denominator=10)
+
+
+def with_report(classifier, spec, policy=EXACT):
+    """Run a classifier on the spec's own normality report."""
+    return classifier(spec, policy, check(spec, policy))
 
 
 class TestExtractUnitRatio:
@@ -75,7 +81,7 @@ class TestExtractUnitRatio:
 
 class TestDirectRoute:
     def test_type1_example(self, type1_spec):
-        res = classify_complex(type1_spec, EXACT)
+        res = with_report(classify_complex, type1_spec)
         assert res.verdict is Verdict.CLASSIFIED
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II is None
@@ -83,24 +89,24 @@ class TestDirectRoute:
         assert res.normality.agrees
 
     def test_not_normal(self, fraction_spec):
-        res = classify_complex(fraction_spec, EXACT)
+        res = with_report(classify_complex, fraction_spec)
         assert res.verdict is Verdict.NOT_NORMAL
         assert res.type_I is None and res.type_II is None
 
     def test_degenerate(self):
         spec = from_diagonals([0, 0, 7, 0, 0])
-        res = classify_complex(spec, EXACT)
+        res = with_report(classify_complex, spec)
         assert res.verdict is Verdict.DEGENERATE
         assert res.degenerate
 
     def test_real_circulant_is_type2(self, circulant_spec):
-        res = classify_complex(circulant_spec, EXACT)
+        res = with_report(classify_complex, circulant_spec)
         assert res.type_I is None
         assert res.type_II == Fraction(1)
 
     def test_n1_both_witnesses(self):
         spec = from_diagonals([GaussianRational(0, 1), 0, 1])
-        res = classify_complex(spec, EXACT)
+        res = with_report(classify_complex, spec)
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II == GaussianRational(0, 1)
 
@@ -109,7 +115,7 @@ class TestDirectRoute:
     def test_witness_round_trip(self, u, seed):
         w = rational_unit_circle(u)
         spec = generate(GenRequest(n=3, kind=Kind.TYPE_I, witness=w, seed=seed, exact=True))
-        res = classify_complex(spec, EXACT)
+        res = with_report(classify_complex, spec)
         assert res.verdict in (Verdict.CLASSIFIED, Verdict.DEGENERATE)
         if res.verdict is Verdict.CLASSIFIED:
             assert res.type_I == w
@@ -117,7 +123,7 @@ class TestDirectRoute:
 
 class TestProofRoute:
     def test_trace_on_type1_example(self, type1_spec):
-        res, trace = classify_via_proof(type1_spec, EXACT)
+        res, trace = with_report(classify_via_proof, type1_spec)
         assert res.verdict is Verdict.CLASSIFIED
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II is None
@@ -130,23 +136,23 @@ class TestProofRoute:
         assert trace.alpha0 == GaussianRational(0, 1)
 
     def test_trace_on_approx_twin(self, type1_spec_approx):
-        res, trace = classify_via_proof(type1_spec_approx, APPROX)
+        res, trace = with_report(classify_via_proof, type1_spec_approx, APPROX)
         assert res.verdict is Verdict.CLASSIFIED
         assert abs(res.type_I - 1j) < 1e-9
         assert abs_sq(trace.alpha0) == pytest.approx(1.0)
 
     def test_not_normal_short_circuits(self, fraction_spec):
-        res, trace = classify_via_proof(fraction_spec, EXACT)
+        res, trace = with_report(classify_via_proof, fraction_spec)
         assert res.verdict is Verdict.NOT_NORMAL
         assert trace.point is None
 
     def test_degenerate(self):
-        res, trace = classify_via_proof(from_diagonals([0, 0, 0]), EXACT)
+        res, trace = with_report(classify_via_proof, from_diagonals([0, 0, 0]))
         assert res.verdict is Verdict.DEGENERATE
         assert trace.point is None
 
     def test_palindromic_gets_both(self, palindromic_spec):
-        res, _ = classify_via_proof(palindromic_spec, EXACT)
+        res, _ = with_report(classify_via_proof, palindromic_spec)
         assert res.type_I == Fraction(1)
         assert res.type_II == Fraction(1)
 
@@ -155,8 +161,8 @@ class TestProofRoute:
     def test_agrees_with_direct_route(self, u, seed):
         w = rational_unit_circle(u)
         spec = generate(GenRequest(n=2, kind=Kind.TYPE_II, witness=w, seed=seed, exact=True))
-        direct = classify_complex(spec, EXACT)
-        proved, _ = classify_via_proof(spec, EXACT)
+        direct = with_report(classify_complex, spec)
+        proved, _ = with_report(classify_via_proof, spec)
         assert direct.verdict is proved.verdict
         assert direct.type_I == proved.type_I
         assert direct.type_II == proved.type_II
@@ -164,30 +170,30 @@ class TestProofRoute:
 
 class TestRealRoute:
     def test_single_labels(self, circulant_spec, symmetric_spec):
-        assert classify_real(circulant_spec, EXACT).labels == {RealLabel.CIRCULANT}
-        assert classify_real(symmetric_spec, EXACT).labels == {RealLabel.SYMMETRIC}
+        assert with_report(classify_real, circulant_spec).labels == {RealLabel.CIRCULANT}
+        assert with_report(classify_real, symmetric_spec).labels == {RealLabel.SYMMETRIC}
 
     def test_skew_labels(self):
-        res = classify_real(from_diagonals([-2, -1, 0, 1, 2]), EXACT)
+        res = with_report(classify_real, from_diagonals([-2, -1, 0, 1, 2]))
         assert res.labels == {RealLabel.SKEW_SYMMETRIC}
-        res = classify_real(from_diagonals([-1, -2, 0, 1, 2]), EXACT)
+        res = with_report(classify_real, from_diagonals([-1, -2, 0, 1, 2]))
         assert res.labels == {RealLabel.SKEW_CIRCULANT}
 
     def test_double_label(self, palindromic_spec):
-        res = classify_real(palindromic_spec, EXACT)
+        res = with_report(classify_real, palindromic_spec)
         assert res.labels == {RealLabel.SYMMETRIC, RealLabel.CIRCULANT}
 
     def test_not_normal_and_degenerate(self, fraction_spec):
-        assert classify_real(fraction_spec, EXACT).verdict is Verdict.NOT_NORMAL
-        res = classify_real(from_diagonals([0, 0, 0]), EXACT)
+        assert with_report(classify_real, fraction_spec).verdict is Verdict.NOT_NORMAL
+        res = with_report(classify_real, from_diagonals([0, 0, 0]))
         assert res.verdict is Verdict.DEGENERATE and res.labels == frozenset()
 
     def test_complex_input_rejected(self, type1_spec):
         with pytest.raises(ValueError):
-            classify_real(type1_spec, EXACT)
+            with_report(classify_real, type1_spec)
 
     def test_approx(self, circulant_spec):
-        res = classify_real(circulant_spec.as_approx(), APPROX)
+        res = with_report(classify_real, circulant_spec.as_approx(), APPROX)
         assert res.labels == {RealLabel.CIRCULANT}
 
 
@@ -204,7 +210,7 @@ class TestViolationDiagnostics:
 
 class TestJson:
     def test_classification_document(self, type1_spec):
-        res = classify_complex(type1_spec, EXACT)
+        res = with_report(classify_complex, type1_spec)
         doc = classification_to_json(res)
         assert doc["verdict"] == "Classified"
         assert doc["type_I"] == {"re": "0", "im": "1"}
@@ -213,13 +219,13 @@ class TestJson:
         assert doc["trace"] is None
 
     def test_real_labels_ordered(self, palindromic_spec):
-        res = classify_complex(palindromic_spec, EXACT)
-        real = classify_real(palindromic_spec, EXACT)
+        res = with_report(classify_complex, palindromic_spec)
+        real = with_report(classify_real, palindromic_spec)
         doc = classification_to_json(res, real)
         assert doc["real_labels"] == ["Symmetric", "Circulant"]
 
     def test_trace_document(self, type1_spec):
-        _, trace = classify_via_proof(type1_spec, EXACT)
+        _, trace = with_report(classify_via_proof, type1_spec)
         doc = trace_to_json(trace)
         assert doc["x0"] == 0.0
         assert doc["point"] == {"re": "1", "im": "0"}

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toepnorm import cli
+from toepnorm import cli, normality
 from toepnorm.classify import (
     ClassificationResult,
     TheoremViolation,
@@ -17,8 +18,9 @@ from toepnorm.classify import (
     classify_complex,
 )
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
+from toepnorm.normality import check
 from toepnorm.scalar import GaussianRational, ScalarPolicy
-from toepnorm.toeplitz import spec_from_json, spec_to_json
+from toepnorm.toeplitz import _FLOAT_RANGE, spec_from_json, spec_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,7 +134,7 @@ class TestClassify:
         assert doc["real_labels"] == ["Circulant"]
 
     def test_violation_exits_3(self, spec_file, capsys, monkeypatch):
-        def boom(spec, policy):
+        def boom(spec, policy, report):
             raise TheoremViolation("forced failure", deviations={"type_I": 1.0})
 
         monkeypatch.setattr(cli, "classify_complex", boom)
@@ -143,7 +145,7 @@ class TestClassify:
         assert "forced failure" in err
 
     def test_route_disagreement_exits_3(self, spec_file, capsys, monkeypatch):
-        def contrarian(spec, policy):
+        def contrarian(spec, policy, report):
             return ClassificationResult(Verdict.NOT_NORMAL), None
 
         monkeypatch.setattr(cli, "classify_via_proof", contrarian)
@@ -176,6 +178,102 @@ class TestVerifyIdentities:
         assert code == 2
 
 
+def float_doc(value, n=1):
+    """Float spec whose every off-diagonal entry is value."""
+    entry = {"re": value, "im": value}
+    zero = {"re": 0.0, "im": 0.0}
+    return {"n": n, "diag": [entry] * n + [zero] + [entry] * n}
+
+
+def all_numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in all_numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in all_numbers(v)]
+    return [doc] if isinstance(doc, float) else []
+
+
+COMMANDS = [
+    ["check"],
+    ["classify", "--route", "direct"],
+    ["classify", "--route", "both"],
+    ["verify-identities", "--which", "all"],
+]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e200])
+    def test_rejected_at_decode(self, spec_file, capsys, command, value):
+        code, doc, err = run_cli([*command, spec_file(float_doc(value))], capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("toepnorm: ") and err.count("\n") == 1
+
+    def test_integer_beyond_float_rejected(self, spec_file, capsys):
+        doc = float_doc(1.0)
+        doc["diag"][0] = {"re": 10**400, "im": 0}
+        code, _, err = run_cli(["check", spec_file(doc)], capsys)
+        assert code == 2 and "float range" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_largest_accepted_stays_finite(self, spec_file, capsys, command):
+        n = 3
+        limit = _FLOAT_RANGE / (n + 1)
+        code, doc, _ = run_cli([*command, spec_file(float_doc(0.999 * limit, n))], capsys)
+        assert code == 0
+        assert all(math.isfinite(x) for x in all_numbers(doc))
+        code, _, _ = run_cli([*command, spec_file(float_doc(1.001 * limit, n))], capsys)
+        assert code == 2
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count normality.check calls through every toepnorm name bound to it."""
+    calls = []
+    original = normality.check
+
+    def counted(spec, policy):
+        calls.append(spec)
+        return original(spec, policy)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toepnorm" or name.startswith("toepnorm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+CIRCULANT_DOC = spec_to_json(generate(GenRequest(n=3, kind=Kind.CIRCULANT, seed=1, exact=True)))
+
+
+class TestOneNormalityCheckPerRequest:
+    @pytest.mark.parametrize("doc", [FRACTION_DOC, TYPE1_DOC, CIRCULANT_DOC])
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["check"], 1),
+            (["classify", "--route", "direct"], 1),
+            (["classify", "--route", "proof"], 1),
+            (["classify", "--route", "both"], 1),
+            (["verify-identities", "--which", "all"], 0),
+        ],
+    )
+    def test_single_spec_commands(self, spec_file, capsys, check_calls, doc, command, expected):
+        code, _, _ = run_cli([*command, spec_file(doc)], capsys)
+        assert code == 0
+        assert len(check_calls) == expected
+
+    @pytest.mark.parametrize(
+        "argv, specs",
+        [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
+    )
+    def test_enumerate_once_per_spec(self, capsys, check_calls, argv, specs):
+        code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
+        assert code == 0 and doc["total"] == specs
+        assert len(check_calls) == specs
+
+
 class TestGenerate:
     def test_round_trip_through_classify(self, tmp_path, capsys):
         code = cli.main(["generate", "--kind", "typeII", "--n", "4", "--seed", "3", "--exact"])
@@ -203,7 +301,8 @@ class TestGenerate:
             capsys,
         )
         assert code == 0
-        res = classify_complex(spec_from_json(doc), ScalarPolicy.exact())
+        spec = spec_from_json(doc)
+        res = classify_complex(spec, ScalarPolicy.exact(), check(spec, ScalarPolicy.exact()))
         assert res.type_I == GaussianRational(0, -1)
 
     def test_bad_scale_exits_2(self, capsys):

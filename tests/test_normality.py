@@ -11,23 +11,48 @@ from toepnorm.genlab import GenRequest, Kind, generate
 from toepnorm.normality import (
     check,
     fast_max_residual,
+    is_normal,
     report_to_json,
     residual,
-    residual_table,
+    residual_scale,
 )
-from toepnorm.scalar import GaussianRational, ScalarPolicy
+from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
 from toepnorm.toeplitz import from_diagonals
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+quarters = st.integers(-32, 32).map(lambda k: Fraction(k, 4))
 
 
-def exact_specs(n):
+def exact_specs(n, parts=small_fractions):
     count = 2 * n + 1
     return st.lists(
-        st.builds(GaussianRational, small_fractions, small_fractions),
+        st.builds(GaussianRational, parts, parts),
         min_size=count,
         max_size=count,
     ).map(from_diagonals)
+
+
+def real_specs(n):
+    count = 2 * n + 1
+    return st.lists(small_fractions, min_size=count, max_size=count).map(from_diagonals)
+
+
+def all_residuals(spec):
+    return {
+        (m, n): residual(spec, m, n)
+        for m in range(1, spec.n + 1)
+        for n in range(1, spec.n + 1)
+    }
+
+
+def brute_force_max(spec):
+    """Largest residual magnitude (squared when exact) and its first pair."""
+    size = abs_sq if spec.is_exact else np.abs
+    best, pair = 0, (1, 1)
+    for (m, n), r in sorted(all_residuals(spec).items()):
+        if size(r) > best:
+            best, pair = size(r), (m, n)
+    return best, pair
 
 
 def test_known_residual(fraction_spec):
@@ -44,39 +69,46 @@ def test_residual_index_bounds(fraction_spec):
             residual(fraction_spec, m, n)
 
 
-def test_table_matches_pointwise(type1_spec):
-    table = residual_table(type1_spec)
-    for m in range(1, type1_spec.n + 1):
-        for n in range(1, type1_spec.n + 1):
-            assert table[m - 1][n - 1] == residual(type1_spec, m, n)
+# a_1 = 1+2i, a_2 = 3, a_-1 = -i, a_-2 = 2-i, and every residual by hand.
+HAND_SPEC = [GaussianRational(2, -1), GaussianRational(0, -1), 0, GaussianRational(1, 2), 3]
+HAND_TABLE = {
+    (1, 1): GaussianRational(8),
+    (1, 2): GaussianRational(4, 8),
+    (2, 1): GaussianRational(4, -8),
+    (2, 2): GaussianRational(8),
+}
 
 
-def test_table_approx_matches_pointwise(type1_spec_approx):
-    table = residual_table(type1_spec_approx)
-    assert isinstance(table, np.ndarray)
-    for m in range(1, 3):
-        for n in range(1, 3):
-            assert table[m - 1, n - 1] == pytest.approx(
-                residual(type1_spec_approx, m, n), abs=1e-12
-            )
+def test_table_matches_pointwise():
+    spec = from_diagonals(HAND_SPEC)
+    assert all_residuals(spec) == HAND_TABLE
+    assert fast_max_residual(spec) == (Fraction(80), (1, 2))
+
+
+def test_table_approx_matches_pointwise():
+    spec = from_diagonals(HAND_SPEC).as_approx()
+    table = all_residuals(spec)
+    for pair, value in HAND_TABLE.items():
+        assert table[pair] == pytest.approx(complex(value), abs=1e-12)
+    value, pair = fast_max_residual(spec)
+    assert value == pytest.approx(80**0.5) and pair == (1, 2)
 
 
 @given(exact_specs(3))
 @settings(max_examples=40, deadline=None)
 def test_table_is_hermitian_exact(spec):
-    table = residual_table(spec)
-    for m in range(spec.n):
-        for n in range(spec.n):
-            assert table[m][n] == table[n][m].conjugate()
+    table = all_residuals(spec)
+    for (m, n), r in table.items():
+        assert r == table[n, m].conjugate()
 
 
 @given(exact_specs(3))
 @settings(max_examples=25, deadline=None)
 def test_table_approx_is_hermitian_to_rounding(spec):
-    # Float contraction order breaks bitwise symmetry, so compare loosely.
-    table = residual_table(spec.as_approx())
+    table = all_residuals(spec.as_approx())
     scale = max(spec.n * spec.max_abs() ** 2, 1e-30)
-    assert np.max(np.abs(table - table.conj().T)) <= 1e-13 * scale
+    for (m, n), r in table.items():
+        assert abs(r - table[n, m].conjugate()) <= 1e-13 * scale
 
 
 @given(exact_specs(2), small_fractions)
@@ -85,7 +117,31 @@ def test_stored_a0_never_enters(spec, a0):
     moved = from_diagonals(
         spec.diag[: spec.n] + (GaussianRational(a0, a0),) + spec.diag[spec.n + 1 :]
     )
-    assert residual_table(moved) == residual_table(spec)
+    assert all_residuals(moved) == all_residuals(spec)
+    assert fast_max_residual(moved) == fast_max_residual(spec)
+    assert fast_max_residual(moved.as_approx()) == fast_max_residual(spec.as_approx())
+
+
+@given(st.integers(1, 4).flatmap(exact_specs))
+@settings(max_examples=60, deadline=None)
+def test_scan_is_brute_force_max_exact_complex(spec):
+    assert fast_max_residual(spec) == brute_force_max(spec)
+
+
+@given(st.integers(1, 4).flatmap(real_specs))
+@settings(max_examples=60, deadline=None)
+def test_scan_is_brute_force_max_exact_real(spec):
+    assert fast_max_residual(spec) == brute_force_max(spec)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: exact_specs(n, quarters)))
+@settings(max_examples=60, deadline=None)
+def test_scan_is_brute_force_max_float(spec):
+    # Quarter-integer entries keep every float product and sum exact, so
+    # both sides see identical residuals; the magnitudes use numpy's abs
+    # on both, so the tie rule is comparable too.
+    approx = spec.as_approx()
+    assert fast_max_residual(approx) == brute_force_max(approx)
 
 
 class TestFastMax:
@@ -105,13 +161,15 @@ class TestFastMax:
         assert pair == (1, 1)
 
     def test_tie_takes_first_row_major(self):
-        # The table is Hermitian, so the (1,3)/(3,1) max ties; the scan
+        # The residuals are Hermitian, so the (1,3)/(3,1) max ties; the scan
         # must settle on the row-major first of the two.
         spec = from_diagonals([2, 0, 0, 0, 1, 0, 2])
-        table = residual_table(spec)
-        assert abs(table[0][2]) == abs(table[2][0]) == 4
+        assert abs(residual(spec, 1, 3)) == abs(residual(spec, 3, 1)) == 4
         value, pair = fast_max_residual(spec)
         assert value == Fraction(16)
+        assert pair == (1, 3)
+        value, pair = fast_max_residual(spec.as_approx())
+        assert value == 4.0
         assert pair == (1, 3)
 
 
@@ -167,6 +225,18 @@ class TestCheck:
         assert isinstance(doc["max_residual"], float)
         assert isinstance(doc["oracle_norm"], float)
         assert doc["squared"] is False
+
+    def test_threshold_on_residual_scale(self, fraction_spec, fraction_spec_approx):
+        # One residual of magnitude 6 at scale N * max|a_k|^2 = 4.
+        assert residual_scale(fraction_spec) == 0.0
+        assert residual_scale(fraction_spec_approx) == 4.0
+        for eps, normal in ((1.5, True), (1.4, False)):
+            policy = ScalarPolicy.approx(eps)
+            assert is_normal(fraction_spec_approx, policy) is normal
+            assert check(fraction_spec_approx, policy).is_normal_fast is normal
+        assert not is_normal(fraction_spec, ScalarPolicy.exact())
+        with pytest.raises(ValueError):
+            is_normal(fraction_spec, ScalarPolicy.approx())
 
     @given(exact_specs(2))
     @settings(max_examples=30, deadline=None)

@@ -26,7 +26,6 @@ from toepnorm.polyid import (
     is_zero_poly,
     poly_mul,
     poly_sub,
-    poly_to_json,
     reciprocal,
     trig_coeffs,
 )
@@ -85,18 +84,6 @@ class TestCoeffPoly:
         assert not is_zero_poly(CoeffPoly((Fraction(1, 10**9),), POS), ScalarPolicy.exact())
         near = CoeffPoly((1e-14, -1e-15), POS)
         assert is_zero_poly(near, ScalarPolicy.approx(), scale=1.0)
-
-    def test_json_shape(self):
-        doc = poly_to_json(CoeffPoly((Fraction(-3), Fraction(0), Fraction(3)), POS, 2))
-        assert doc == {
-            "degree_offset": 2,
-            "coeffs": [
-                {"re": "-3", "im": "0"},
-                {"re": "0", "im": "0"},
-                {"re": "3", "im": "0"},
-            ],
-            "tag": "pos",
-        }
 
 
 class TestEvaluation:

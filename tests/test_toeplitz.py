@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from toepnorm.scalar import GaussianRational, SpecFormatError, as_complex
+from toepnorm.scalar import GaussianRational, SpecFormatError
 from toepnorm.toeplitz import (
     ToeplitzSpec,
     commutator,
@@ -127,10 +127,10 @@ class TestCommutator:
     def test_exact_matches_dense_float(self, diag):
         spec = from_diagonals(diag)
         got = np.array(
-            [[as_complex(z) for z in row] for row in commutator(spec)]
+            [[complex(z) for z in row] for row in commutator(spec)]
         )
         want = np.array(
-            [[as_complex(z) for z in row] for row in commutator(spec.as_approx())]
+            [[complex(z) for z in row] for row in commutator(spec.as_approx())]
         )
         assert np.allclose(got, want, atol=1e-9)
 
