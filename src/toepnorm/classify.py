@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .normality import NormalityReport
 from .polyid import eval_at_point, trig_coeffs
 from .scalar import ScalarPolicy, abs_sq, rational_unit_circle
@@ -127,24 +129,35 @@ def _vector_scale(*vectors) -> float:
     return float(max((abs(x) for v in vectors for x in v), default=0.0))
 
 
+def _pivot(v, exact: bool) -> int:
+    """Index to take a ratio at: the largest |v[k]|, the first on a tie.
+
+    There rounding perturbs a float ratio least.  Whether an exact ratio
+    fits, and its value, do not depend on which nonzero entry it is taken
+    at, so exact mode takes the first nonzero one and computes no
+    magnitudes.  A zero pivot means an all-zero vector.
+    """
+    if exact:
+        return next((k for k, d in enumerate(v) if d != 0), 0)
+    mags = list(map(abs, v))
+    return mags.index(max(mags))
+
+
 def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     """Unit-modulus c with numer[k] = c * denom[k] for all k, if one exists.
 
     Returns the sentinel :data:`ANY` when both vectors are entirely zero,
-    and None when no unit-modulus ratio fits.  c is computed at the first
-    policy-nonzero denominator entry and then verified everywhere,
-    including the zero-denominator indices (which force numer zero there).
+    and None when no unit-modulus ratio fits.  c is computed at the
+    :func:`_pivot` entry of denom (the largest in approximate mode) and then
+    verified everywhere, including the zero-denominator indices (which
+    force numer zero there).
     """
     numer, denom = tuple(numer), tuple(denom)
     if len(numer) != len(denom) or not numer:
         raise ValueError("vectors must have equal, nonzero length")
     scale = 0.0 if policy.is_exact else _vector_scale(numer, denom)
-    pivot = None
-    for k, d in enumerate(denom):
-        if not policy.is_zero(d, scale):
-            pivot = k
-            break
-    if pivot is None:
+    pivot = _pivot(denom, policy.is_exact)
+    if policy.is_zero(denom[pivot], scale):
         if all(policy.is_zero(x, scale) for x in numer):
             return ANY
         return None
@@ -213,8 +226,8 @@ def _near_miss(spec: ToeplitzSpec) -> dict:
     lo = [complex(z) for z in spec.lower]
     out = {}
     for name, src in (("type_I", [z.conjugate() for z in lo]), ("type_II", lo[::-1])):
-        pivot = next((k for k, d in enumerate(src) if d != 0), None)
-        if pivot is None:
+        pivot = _pivot(src, False)
+        if src[pivot] == 0:
             out[name] = None
             continue
         c = up[pivot] / src[pivot]
@@ -224,44 +237,91 @@ def _near_miss(spec: ToeplitzSpec) -> dict:
 
 
 def _sample_points(spec: ToeplitzSpec):
-    """M = 4(N+1) unit-circle samples: angles in Approx, rational in Exact.
+    """M = 4(N+1) exact unit-circle samples, as (angle, point) pairs.
 
     t has at most 2N circle zeros (w^N t(w) is a degree-2N polynomial), so
     with M > 2N distinct points the scan must find t nonzero unless t is
-    identically zero.  Exact mode uses stereographic rational points, the
-    only unit scalars available in the field.
+    identically zero.  These are stereographic rational points, the only
+    unit scalars available in the field.
     """
     m = 4 * (spec.n + 1)
-    if spec.is_exact:
-        pts = []
-        for j in range(m):
-            w = rational_unit_circle(Fraction(2 * j - m, 8))
-            pts.append((math.atan2(float(w.imag), float(w.real)), w))
-        return pts
-    return [(2 * math.pi * j / m, cmath.exp(2j * math.pi * j / m)) for j in range(m)]
+    pts = []
+    for j in range(m):
+        w = rational_unit_circle(Fraction(2 * j - m, 8))
+        pts.append((math.atan2(float(w.imag), float(w.real)), w))
+    return pts
+
+
+def _float_candidates(spec: ToeplitzSpec):
+    """The angles 2*pi*j/M, M = 4(N+1), that may hold the largest Horner |t|.
+
+    t(2*pi*j/M) = sum_k a_{-k} e^{-2*pi*i*jk/M} is entry j of the DFT of
+    (0, a_{-1}, .., a_{-N}) zero-padded to length M, so one FFT gives every
+    sample F_j.  With u = 2^-53 and D = sum_k |a_{-k}|, each F_j and the
+    Horner value H_j at the rounded point cmath.exp(2*pi*i*j/M) lie within
+    err = 64(N+1)*u*D of each other:
+      - Horner in complex arithmetic: |H_j - t(w~_j)| <= ~4(N+1)*u*D;
+      - the rounded angle and exp move the point by |w~_j - w_j| <= ~21u,
+        which moves t by at most N*21u*D;
+      - the normwise FFT bound c*u*log2(M)*|F|_2 (Higham, Accuracy and
+        Stability of Numerical Algorithms, sec. 24.1; c ~ 7 for radix 2) with
+        |F|_2 = sqrt(M)*|a|_2 <= sqrt(M)*D and log2(M)*sqrt(M) <= 1.1*M
+        gives |F_j - t(w_j)| <= ~31(N+1)*u*D.
+    The first Horner maximum j* then has |F_j*| >= |H_j*| - err >=
+    max|H| - err >= max|F| - 2*err, and since max|F| <= D + err,
+    |F_j*|^2 >= max|F|^2 - 4*err*D.  Every index tying the full scan's
+    maximum passes that cut; the slack between 56 and 64 covers rounding
+    in the squares and the cut itself.  Candidates come in index order.
+    """
+    n = spec.n
+    m = 4 * (n + 1)
+    coeffs = np.zeros(m, dtype=complex)
+    coeffs[1 : n + 1] = spec.upper
+    f = np.fft.fft(coeffs)
+    mags = f.real * f.real + f.imag * f.imag
+    d = float(np.abs(coeffs).sum())
+    err = 64 * (n + 1) * 2.0**-53 * d
+    keep = np.flatnonzero(mags >= mags.max() - 4 * err * d)
+    return [(2 * math.pi * j / m, cmath.exp(2j * math.pi * j / m)) for j in keep.tolist()]
+
+
+def _best_sample(spec: ToeplitzSpec, t):
+    """(x0, w0, t(w0)) with the largest |t| on the grid; first index wins ties.
+
+    Float specs only evaluate the FFT-screened :func:`_float_candidates`;
+    the choice is the one a Horner scan of all 4(N+1) angles makes.
+    """
+    points = _sample_points(spec) if spec.is_exact else _float_candidates(spec)
+    best = None
+    best_mag = None
+    for x, w in points:
+        tv = eval_at_point(t, w)
+        mag = abs_sq(tv)
+        if best_mag is None or mag > best_mag:
+            best, best_mag = (x, w, tv), mag
+    return best
 
 
 def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport):
     """Constructive route: derive both witnesses from one good sample of t.
 
-    Scans the sample grid for x0 maximizing |t|; at that point
-    alpha = s(x0)/t(x0) and beta = t(x0)/conj(t(x0)) yield the candidates
-    alpha0 = alpha*beta and beta0 = conj(alpha) * w0^{N+1}, which are then
-    verified coefficient-wise.  Returns (result, trace).  ``report`` is the
+    Takes x0 maximizing |t| over M = 4(N+1) sample points, the first on a
+    tie.  Exact specs scan M rational unit points by Horner.  Float specs
+    sample the angles 2*pi*j/M with one FFT of the zero-padded coefficients,
+    keep the indices whose |t|^2 lies within a rounding margin of the FFT
+    maximum (derived in :func:`_float_candidates`, proportional to
+    sum|a_{-k}|), and let Horner decide among those few, so x0 is the point
+    a Horner scan of all M angles picks.  At x0 alpha = s(x0)/t(x0) and
+    beta = t(x0)/conj(t(x0)) yield the candidates alpha0 = alpha*beta and
+    beta0 = conj(alpha) * w0^{N+1}, which are then verified
+    coefficient-wise.  Returns (result, trace).  ``report`` is the
     spec's :func:`toepnorm.normality.check` result; a spec it finds not
     normal is returned as NotNormal with an empty trace.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report), ProofTrace()
     s, t = trig_coeffs(spec)
-    best = None
-    best_mag = None
-    for x, w in _sample_points(spec):
-        tv = eval_at_point(t, w)
-        mag = abs_sq(tv)
-        if best_mag is None or mag > best_mag:
-            best, best_mag = (x, w, tv), mag
-    x0, w0, t0 = best
+    x0, w0, t0 = _best_sample(spec, t)
     t_scale = 0.0 if spec.is_exact else spec.n * spec.max_abs()
     if policy.is_zero(t0, t_scale):
         # t vanishes on more points than its degree allows, so t = 0, and

@@ -149,20 +149,40 @@ class NormalityReport:
 def check(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
     """Run the element-wise test and the dense oracle, report both verdicts.
 
-    Both are judged at the threshold for :func:`residual_scale`: literal
-    zero in exact mode.
+    The scan is judged at the threshold tau for :func:`residual_scale`
+    (literal zero in exact mode).  The oracle measures the commutator C
+    (0-based, (N+1) x (N+1)) in the Frobenius norm, so it is held to the
+    bounds that tie ||C||_F to the residuals:
+
+    - r(m, n) = C[m][n] - C[m-1][n-1] (up to sign), so max|r| <= 2||C||_F;
+    - C is Hermitian and C[N-i][N-j] = -conj(C[i][j]), so each diagonal of
+      C ends on the negative of its start: C[0][j] = -1/2 * (sum of the at
+      most N residuals along that diagonal).  Every entry of C is then a
+      half-difference of partial sums, |C[i][j]| <= N/2 * max|r|, and
+      ||C||_F <= N(N+1)/2 * max|r|.
+
+    So a scan that finds the spec normal agrees when
+    oracle <= N(N+1)/2 * tau, and one that finds it not normal agrees when
+    oracle > tau/2.  In exact mode tau = 0, so the oracle (its square) must
+    be zero exactly when every residual is.
     """
     thresh = _threshold(spec, policy)
     best, pair = fast_max_residual(spec)
     fast_ok = best <= thresh
-    oracle = commutator_norm(spec)
+    oracle = commutator_norm(spec).value
+    if spec.is_exact:
+        agrees = fast_ok == (oracle == 0)
+    elif fast_ok:
+        agrees = oracle <= spec.n * (spec.n + 1) / 2 * thresh
+    else:
+        agrees = oracle > thresh / 2
     return NormalityReport(
         max_residual=best,
         worst_pair=pair,
         is_normal_fast=fast_ok,
-        oracle_norm=oracle.value,
+        oracle_norm=oracle,
         squared=spec.is_exact,
-        agrees=fast_ok == (oracle.value <= thresh),
+        agrees=agrees,
         exact=spec.is_exact,
     )
 

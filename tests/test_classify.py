@@ -1,11 +1,14 @@
 """Both classification routes, witness extraction, the real labels."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from toepnorm import classify
 from toepnorm.classify import (
     ANY,
     ProofTrace,
@@ -19,8 +22,9 @@ from toepnorm.classify import (
     extract_unit_ratio,
     trace_to_json,
 )
-from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import check
+from toepnorm.polyid import eval_at_point, trig_coeffs
 from toepnorm.scalar import (
     GaussianRational,
     ScalarPolicy,
@@ -166,6 +170,70 @@ class TestProofRoute:
         assert direct.verdict is proved.verdict
         assert direct.type_I == proved.type_I
         assert direct.type_II == proved.type_II
+
+
+def full_horner_scan(spec):
+    """Reference float sample choice: Horner at all M = 4(N+1) angles."""
+    _, t = trig_coeffs(spec)
+    m = 4 * (spec.n + 1)
+    best, best_mag = None, None
+    for j in range(m):
+        w = cmath.exp(2j * math.pi * j / m)
+        tv = eval_at_point(t, w)
+        if best_mag is None or abs_sq(tv) > best_mag:
+            best, best_mag = (2 * math.pi * j / m, w, tv), abs_sq(tv)
+    return best
+
+
+def scaled(spec, k):
+    return from_diagonals([z * 2.0**k for z in spec.diag])
+
+
+@st.composite
+def float_specs(draw):
+    """Generated specs of every kind, optionally perturbed, scaled by 2^k."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**31))
+    spec = generate(GenRequest(n=n, kind=draw(st.sampled_from(list(Kind))), seed=seed))
+    bump = draw(st.sampled_from([0.0, 1e-13, 1e-6]))
+    if bump:
+        spec = perturb(spec, bump, seed)
+    return scaled(spec, draw(st.integers(-60, 60)))
+
+
+@st.composite
+def single_term_specs(draw):
+    """t has one term a_{-k} e^{-ikx}, so |t| is the same at every sample."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n))
+    diag = [0j] * (2 * n + 1)
+    diag[n - k] = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    return scaled(from_diagonals(diag), draw(st.integers(-60, 60)))
+
+
+class TestFloatSampleScreen:
+    @given(st.one_of(float_specs(), single_term_specs()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_horner_scan(self, spec):
+        _, t = trig_coeffs(spec)
+        x0, w0, t0 = classify._best_sample(spec, t)
+        rx0, rw0, rt0 = full_horner_scan(spec)
+        assert (x0, w0, t0) == (rx0, rw0, rt0)
+        assert math.copysign(1, t0.real) == math.copysign(1, rt0.real)
+        assert math.copysign(1, t0.imag) == math.copysign(1, rt0.imag)
+
+    def test_few_horner_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(p, w):
+            calls.append(w)
+            return eval_at_point(p, w)
+
+        monkeypatch.setattr(classify, "eval_at_point", counted)
+        spec = generate(GenRequest(n=128, kind=Kind.TYPE_I, seed=0))
+        res, _ = classify_via_proof(spec, APPROX, check(spec, APPROX))
+        assert res.verdict is Verdict.CLASSIFIED
+        assert len(calls) <= 3
 
 
 class TestRealRoute:

@@ -20,7 +20,7 @@ from toepnorm.classify import (
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import check
 from toepnorm.scalar import GaussianRational, ScalarPolicy
-from toepnorm.toeplitz import _FLOAT_RANGE, spec_from_json, spec_to_json
+from toepnorm.toeplitz import _FLOAT_RANGE, from_diagonals, spec_from_json, spec_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -154,6 +154,24 @@ class TestClassify:
         )
         assert code == 3
         assert doc["agree"] is False
+
+    def test_small_leading_entry_classifies(self, spec_file, capsys):
+        # a_1 = 3e-9 is policy-nonzero but tiny: a ratio taken there is off by
+        # 2e-13 / 3e-9 = 6.7e-5, so the witness must come from the largest entry.
+        lower = [3e-9, 1 + 0.5j]
+        upper = [1j * z.conjugate() for z in lower]
+        upper[0] += 2e-13
+        doc = spec_to_json(from_diagonals(upper[::-1] + [0.5] + lower))
+        code, out, _ = run_cli(["classify", spec_file(doc), "--route", "both"], capsys)
+        assert code == 0 and out["agree"] is True
+        assert abs(complex(out["direct"]["type_I"]["re"], out["direct"]["type_I"]["im"]) - 1j) < 1e-9
+
+    def test_float_both_routes_golden(self, spec_file, capsys):
+        assert cli.main(["generate", "--kind", "symmetric", "--n", "64", "--seed", "0"]) == 0
+        path = spec_file(json.loads(capsys.readouterr().out))
+        assert cli.main(["classify", path, "--route", "both"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "classify_symmetric64_both.json").read_text()
 
 
 class TestVerifyIdentities:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import (
     check,
     fast_max_residual,
@@ -206,6 +206,25 @@ class TestCheck:
         spec = generate(GenRequest(n=6, kind=Kind.TYPE_II, seed=3))
         report = check(spec, ScalarPolicy.approx())
         assert report.is_normal_fast and report.agrees
+
+    def test_oracle_agrees_on_perturbed_type1(self):
+        # A normal verdict holds the oracle's Frobenius norm over (N+1)^2
+        # entries to N(N+1)/2 * tau, not to the per-residual tau itself.
+        policy = ScalarPolicy.approx()
+        for seed in range(50):
+            spec = perturb(generate(GenRequest(n=8, kind=Kind.TYPE_I, seed=seed)), 1e-10, seed)
+            assert check(spec, policy).agrees, seed
+
+    @given(
+        st.sampled_from(list(Kind)),
+        st.integers(1, 10),
+        st.integers(0, 2**31),
+        st.integers(6, 14),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_agrees_across_the_threshold(self, kind, n, seed, digits):
+        spec = perturb(generate(GenRequest(n=n, kind=kind, seed=seed)), 10.0**-digits, seed)
+        assert check(spec, ScalarPolicy.approx()).agrees
 
     def test_report_json_exact(self, fraction_spec):
         doc = report_to_json(check(fraction_spec, ScalarPolicy.exact()))
