@@ -5,9 +5,9 @@ This package decides whether such a matrix is normal (commutes with its
 conjugate transpose) and, when it is, names the structure responsible:
 a unit-modulus conjugate-symmetry witness (type I), a unit-modulus
 reversal witness (type II), or the four real specializations symmetric,
-skew-symmetric, circulant and skew-circulant.  All analysis runs in
-either exact rational arithmetic or floating point under an explicit
-tolerance policy.
+skew-symmetric, circulant and skew-circulant.  The spec's entries decide
+the domain: exact rationals are compared literally, floats under an
+explicit tolerance policy.
 """
 
 from .classify import (
@@ -33,7 +33,6 @@ from .genlab import (
 from .normality import NormalityReport, check, fast_max_residual, residual
 from .scalar import (
     GaussianRational,
-    Mode,
     ScalarPolicy,
     SpecFormatError,
     rational_unit_circle,
@@ -57,7 +56,6 @@ __all__ = [
     "GaussianRational",
     "GenRequest",
     "Kind",
-    "Mode",
     "NormalityReport",
     "ProofTrace",
     "RealClassificationResult",

@@ -150,13 +150,15 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     and None when no unit-modulus ratio fits.  c is computed at the
     :func:`_pivot` entry of denom (the largest in approximate mode) and then
     verified everywhere, including the zero-denominator indices (which
-    force numer zero there).
+    force numer zero there).  Float or complex vectors are compared under
+    the policy's tolerance, exact ones literally.
     """
     numer, denom = tuple(numer), tuple(denom)
     if len(numer) != len(denom) or not numer:
         raise ValueError("vectors must have equal, nonzero length")
-    scale = 0.0 if policy.is_exact else _vector_scale(numer, denom)
-    pivot = _pivot(denom, policy.is_exact)
+    exact = not isinstance(denom[0], (float, complex))
+    scale = 0.0 if exact else _vector_scale(numer, denom)
+    pivot = _pivot(denom, exact)
     if policy.is_zero(denom[pivot], scale):
         if all(policy.is_zero(x, scale) for x in numer):
             return ANY

@@ -10,6 +10,7 @@ the default relative tolerance; an explicit --eps flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -104,27 +105,30 @@ def _read_spec(path: str):
     return spec_from_json(doc)
 
 
+_DEFAULT_POLICY = ScalarPolicy()
+
+
 def _policy_for(spec, args) -> ScalarPolicy:
+    """The tolerances of a float spec; exact specs never read them."""
     if spec.is_exact:
-        return ScalarPolicy.exact()
+        return _DEFAULT_POLICY
     eps = args.eps
     if eps is None:
         env = os.environ.get("TOEPNORM_EPS")
-        if env is not None:
-            try:
-                eps = float(env)
-            except ValueError:
-                raise SpecFormatError(f"TOEPNORM_EPS is not a number: {env!r}")
-    if eps is None:
-        eps = 1e-10
-    floor = args.eps_floor if args.eps_floor is not None else 1e-12
-    return ScalarPolicy.approx(eps, floor)
+        try:
+            eps = _DEFAULT_POLICY.eps_rel if env is None else float(env)
+        except ValueError:
+            raise SpecFormatError(f"TOEPNORM_EPS is not a number: {env!r}")
+    return ScalarPolicy(eps, args.eps_floor)
 
 
 def _add_policy_flags(sub) -> None:
     sub.add_argument("--eps", type=float, default=None, help="relative tolerance")
     sub.add_argument(
-        "--eps-floor", type=float, default=None, help="absolute tolerance floor"
+        "--eps-floor",
+        type=float,
+        default=_DEFAULT_POLICY.eps_abs_floor,
+        help="absolute tolerance floor",
     )
 
 
@@ -321,7 +325,9 @@ def _witness_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad witness: {exc}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="toepnorm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

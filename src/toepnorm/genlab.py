@@ -110,19 +110,27 @@ def generate(req: GenRequest) -> ToeplitzSpec:
     a_{-k} = beta0 * a_{N+1-k}.  The four real kinds are the +-1
     specializations with real draws.  A missing witness for TypeI/TypeII is
     derived from the seed via :func:`rational_unit_circle`, so it is
-    unit-modulus in either domain.
+    unit-modulus in either domain; a given one must lie in the spec's domain
+    (exact, or float/complex).
     """
     if req.n < 1:
         raise ValueError("n must be at least 1")
-    scale = Fraction(req.value_scale) if req.exact else float(req.value_scale)
+    try:
+        scale = Fraction(req.value_scale)  # refuses nan and inf
+    except (OverflowError, ValueError):
+        scale = 0
     if scale <= 0:
-        raise ValueError("value_scale must be positive")
+        raise ValueError(f"value_scale must be positive and finite, got {req.value_scale!r}")
+    if not req.exact:
+        scale = float(scale)
     rng = random.Random(req.seed)
     witness = None
     if req.kind in _WITNESS_KINDS:
         witness = req.witness if req.witness is not None else _default_witness(rng, req.exact)
-        mode = ScalarPolicy.exact() if req.exact else ScalarPolicy.approx()
-        if not mode.is_unit_modulus(witness):
+        if isinstance(witness, (float, complex)) == req.exact:
+            domain = "exact" if req.exact else "float"
+            raise ValueError(f"witness {witness!r} is not in the spec's {domain} domain")
+        if not ScalarPolicy().is_unit_modulus(witness):
             raise ValueError(f"witness must be unit-modulus, got {witness!r}")
     elif req.witness is not None:
         raise ValueError(f"kind {req.kind.value} does not take a witness")
@@ -214,7 +222,7 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
             f"{len(values)}^{2 * req.n} = {total} instances exceed the budget "
             f"of {req.budget}; raise the budget to at least {total} to proceed"
         )
-    policy = ScalarPolicy.exact()
+    policy = ScalarPolicy()
     normal = classified = degenerate = 0
     violations = []
     histogram = {}

@@ -8,6 +8,9 @@ Two domains are supported and never mixed inside one matrix:
 * approximate -- built-in ``complex`` (``float`` for reals), compared
   under a relative tolerance with an absolute floor.
 
+A value's type says which domain it lives in, so :class:`ScalarPolicy`
+holds only the tolerances and applies them to float and complex values.
+
 Algorithms elsewhere rely only on the tiny protocol all these types share:
 ``+ - * /``, ``conjugate()`` and the ``real`` / ``imag`` attributes.  That
 keeps one arithmetic kernel for both domains, and for real and complex data.
@@ -19,13 +22,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
 __all__ = [
     "GaussianRational",
-    "Mode",
     "ScalarPolicy",
     "SpecFormatError",
     "abs_sq",
@@ -190,57 +191,37 @@ def rational_unit_circle(u) -> GaussianRational:
     return GaussianRational((1 - u * u) / d, 2 * u / d)
 
 
-class Mode(Enum):
-    EXACT = "exact"
-    APPROX = "approx"
-
-
 @dataclass(frozen=True)
 class ScalarPolicy:
     """How zero tests and unit-modulus tests are decided.
 
-    In Exact mode every comparison is literal equality and the epsilons are
-    ignored.  In Approx mode a quantity r measured at scale S counts as zero
-    iff ``|r| <= max(eps_rel * S, eps_abs_floor)``.
+    The value's own domain picks the rule.  Exact values (GaussianRational,
+    int, Fraction) compare by literal equality and the epsilons play no
+    part.  A float or complex r measured at scale S counts as zero iff
+    ``|r| <= max(eps_rel * S, eps_abs_floor)``.
     """
 
-    mode: Mode
     eps_rel: float = 1e-10
     eps_abs_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.eps_rel < 0 or self.eps_abs_floor < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-    @classmethod
-    def exact(cls) -> "ScalarPolicy":
-        return cls(Mode.EXACT)
-
-    @classmethod
-    def approx(cls, eps_rel: float = 1e-10, eps_abs_floor: float = 1e-12) -> "ScalarPolicy":
-        return cls(Mode.APPROX, eps_rel, eps_abs_floor)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode is Mode.EXACT
+        if not (0 <= self.eps_rel < math.inf and 0 <= self.eps_abs_floor < math.inf):
+            raise ValueError(f"tolerances must be finite and nonnegative: {self!r}")
 
     def threshold(self, scale) -> float:
-        if self.is_exact:
-            return 0
+        """The float tolerance at the given scale."""
         return max(self.eps_rel * scale, self.eps_abs_floor)
 
     def is_zero(self, z, scale=0.0) -> bool:
-        if self.is_exact:
-            return z == 0
-        return abs(z) <= self.threshold(scale)
+        if isinstance(z, (float, complex)):
+            return abs(z) <= self.threshold(scale)
+        return z == 0
 
     def equal(self, a, b, scale=0.0) -> bool:
         return self.is_zero(a - b, scale)
 
     def is_unit_modulus(self, z) -> bool:
-        if self.is_exact:
-            return abs_sq(z) == 1
-        return abs(abs_sq(z) - 1.0) <= max(self.eps_rel, self.eps_abs_floor)
+        return self.is_zero(abs_sq(z) - 1, 1.0)
 
 
 def scalar_to_json(z):

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .scalar import (
 )
 
 __all__ = [
-    "OracleNorm",
     "ToeplitzSpec",
     "commutator",
     "commutator_norm",
@@ -238,18 +237,11 @@ def commutator(spec: ToeplitzSpec) -> list:
     return _commutator_np(spec).tolist()
 
 
-class OracleNorm(NamedTuple):
-    """Frobenius norm of the commutator; exact mode reports the square."""
+def commutator_norm(spec: ToeplitzSpec):
+    """Frobenius norm of :func:`commutator`, as a float.
 
-    value: object
-    squared: bool
-
-
-def commutator_norm(spec: ToeplitzSpec) -> OracleNorm:
-    """Frobenius norm of :func:`commutator`.
-
-    Exact mode returns the exact rational norm *squared* (flagged), since
-    the square root generally leaves the field.
+    An exact spec gets the exact rational norm *squared* instead, since the
+    square root generally leaves the field.
     """
     if spec.is_exact:
         out_re, out_im, den = _commutator_int(spec)
@@ -257,8 +249,8 @@ def commutator_norm(spec: ToeplitzSpec) -> OracleNorm:
         for row_re, row_im in zip(out_re, out_im):
             for r, i in zip(row_re, row_im):
                 total += r * r + i * i
-        return OracleNorm(Fraction(total, den * den), True)
-    return OracleNorm(float(np.linalg.norm(_commutator_np(spec))), False)
+        return Fraction(total, den * den)
+    return float(np.linalg.norm(_commutator_np(spec)))
 
 
 # Bound on (N+1) * c, c the largest off-diagonal |re| or |im|, under which

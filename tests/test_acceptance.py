@@ -37,8 +37,7 @@ from toepnorm.scalar import ScalarPolicy, rational_unit_circle
 from toepnorm.toeplitz import commutator_norm, from_diagonals
 from toepnorm import cli
 
-EXACT = ScalarPolicy.exact()
-APPROX = ScalarPolicy.approx()
+POLICY = ScalarPolicy()
 
 STRUCTURED = [
     Kind.TYPE_I,
@@ -86,12 +85,12 @@ def _real_census(n, shared_cache):
     for combo in itertools.product(INT2, repeat=2 * n):
         counts["total"] += 1
         spec = from_diagonals(combo[:n] + (Fraction(0),) + combo[n:])
-        res = classify_real(spec, EXACT, check(spec, EXACT))
+        res = classify_real(spec, POLICY, check(spec, POLICY))
         assert res.normality.agrees
         if res.verdict is Verdict.NOT_NORMAL:
             continue
         counts["normal"] += 1
-        assert identity16_holds(spec, EXACT)
+        assert identity16_holds(spec, POLICY)
         if res.verdict is Verdict.DEGENERATE:
             counts["degenerate"] += 1
             continue
@@ -139,7 +138,7 @@ def test_criterion_3_dual_route_agreement_on_random_exact_specs():
             seed=rng.getrandbits(31),
             exact=True,
         )
-        report = check(generate(req), EXACT)
+        report = check(generate(req), POLICY)
         assert report.agrees
         if report.is_normal_fast:
             normal += 1
@@ -166,10 +165,10 @@ def _criterion_4_corpora():
 def test_criterion_4_generator_soundness(shared_cache):
     approx, exact = _criterion_4_corpora()
     for spec in approx:
-        norm = commutator_norm(spec).value
+        norm = commutator_norm(spec)
         assert norm <= 1e-10 * spec.n * spec.max_abs() ** 2, spec
     for spec in exact:
-        assert commutator_norm(spec).value == 0, spec
+        assert commutator_norm(spec) == 0, spec
         value, _ = fast_max_residual(spec)
         assert value == 0, spec
     shared_cache["criterion4_approx"] = approx
@@ -200,13 +199,13 @@ def test_criterion_5_direct_and_constructive_routes_agree(shared_cache):
     for n in (1, 2):  # the same grid criterion 1 enumerates
         for combo in itertools.product(GAUSS1, repeat=2 * n):
             spec = from_diagonals(combo[:n] + (0,) + combo[n:])
-            assert _routes_agree(spec, EXACT), spec
+            assert _routes_agree(spec, POLICY), spec
             checked += 1
     for spec in shared_cache["criterion4_exact"]:
-        assert _routes_agree(spec, EXACT), spec
+        assert _routes_agree(spec, POLICY), spec
         checked += 1
     for spec in shared_cache["criterion4_approx"]:
-        assert _routes_agree(spec, APPROX), spec
+        assert _routes_agree(spec, POLICY), spec
         checked += 1
     _passed(5, f"both classification routes agree on {checked} specs")
 
@@ -243,7 +242,7 @@ def test_criterion_6_identity_suite(shared_cache):
     assert abs(eight[5] - identity8_residual(probe, float(xs[5]), float(ys[5]))) <= 1e-12
 
     for spec in shared_cache["criterion4_approx"]:
-        bound = APPROX.threshold(spec.n**2 * spec.max_abs() ** 2)
+        bound = POLICY.threshold(spec.n**2 * spec.max_abs() ** 2)
         nine, eight = sampled_residuals(spec)
         assert float(np.max(np.abs(nine))) <= bound, spec
         assert float(np.max(np.abs(eight))) <= bound, spec
@@ -260,11 +259,11 @@ def test_criterion_6_identity_suite(shared_cache):
     for kind in (Kind.SYMMETRIC, Kind.SKEW_SYMMETRIC, Kind.CIRCULANT, Kind.SKEW_CIRCULANT):
         for seed in range(25):
             spec = generate(GenRequest(n=(seed % 6) + 1, kind=kind, seed=seed, exact=True))
-            assert identity14_check(spec, EXACT)
-            assert identity16_holds(spec, EXACT)
+            assert identity14_check(spec, POLICY)
+            assert identity16_holds(spec, POLICY)
     skewed = from_diagonals([2, 0, 1])
-    assert not identity14_check(skewed, EXACT)
-    assert not identity16_holds(skewed, EXACT)
+    assert not identity14_check(skewed, POLICY)
+    assert not identity16_holds(skewed, POLICY)
     count = len(shared_cache["criterion4_approx"])
     _passed(6, f"product/modulus identities on {count} specs, real chain verified")
 
@@ -283,7 +282,7 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
     }
     for specs in pools:
         for spec, labels in specs:
-            res = classify_complex(spec, EXACT, check(spec, EXACT))
+            res = classify_complex(spec, POLICY, check(spec, POLICY))
             assert res.verdict is Verdict.CLASSIFIED
             for witness in (res.type_I, res.type_II):
                 if witness is not None:
@@ -297,7 +296,7 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
     assert seen >= 80
     for n in (2, 3):  # the lone all-zero normal spec stays witness-free
         zero = from_diagonals((Fraction(0),) * (2 * n + 1))
-        res = classify_complex(zero, EXACT, check(zero, EXACT))
+        res = classify_complex(zero, POLICY, check(zero, POLICY))
         assert res.verdict is Verdict.DEGENERATE
         assert res.type_I is None and res.type_II is None
     _passed(7, f"complex-route witnesses on {seen} real specs are exactly +-1")

@@ -33,13 +33,12 @@ from toepnorm.scalar import (
 )
 from toepnorm.toeplitz import from_diagonals
 
-EXACT = ScalarPolicy.exact()
-APPROX = ScalarPolicy.approx()
+POLICY = ScalarPolicy()
 
 unit_params = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
 
-def with_report(classifier, spec, policy=EXACT):
+def with_report(classifier, spec, policy=POLICY):
     """Run a classifier on the spec's own normality report."""
     return classifier(spec, policy, check(spec, policy))
 
@@ -48,38 +47,38 @@ class TestExtractUnitRatio:
     def test_known_witness(self):
         up = (GaussianRational(0, 1), GaussianRational(0, 2))
         den = (GaussianRational(1), GaussianRational(2))
-        assert extract_unit_ratio(up, den, EXACT) == GaussianRational(0, 1)
+        assert extract_unit_ratio(up, den, POLICY) == GaussianRational(0, 1)
 
     def test_non_unit_ratio_rejected(self):
-        assert extract_unit_ratio((Fraction(2),), (Fraction(1),), EXACT) is None
+        assert extract_unit_ratio((Fraction(2),), (Fraction(1),), POLICY) is None
 
     def test_inconsistent_vectors_rejected(self):
         up = (GaussianRational(0, 1), GaussianRational(7))
         den = (GaussianRational(1), GaussianRational(2))
-        assert extract_unit_ratio(up, den, EXACT) is None
+        assert extract_unit_ratio(up, den, POLICY) is None
 
     def test_zero_denominator_forces_zero_numerator(self):
         num = (GaussianRational(0), GaussianRational(0, 1))
         den = (GaussianRational(0), GaussianRational(1))
-        assert extract_unit_ratio(num, den, EXACT) == GaussianRational(0, 1)
+        assert extract_unit_ratio(num, den, POLICY) == GaussianRational(0, 1)
         bad = (GaussianRational(1), GaussianRational(0, 1))
-        assert extract_unit_ratio(bad, den, EXACT) is None
+        assert extract_unit_ratio(bad, den, POLICY) is None
 
     def test_all_zero_means_any(self):
         zeros = (Fraction(0), Fraction(0))
-        assert extract_unit_ratio(zeros, zeros, EXACT) is ANY
+        assert extract_unit_ratio(zeros, zeros, POLICY) is ANY
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            extract_unit_ratio((), (), EXACT)
+            extract_unit_ratio((), (), POLICY)
         with pytest.raises(ValueError):
-            extract_unit_ratio((Fraction(1),), (Fraction(1), Fraction(2)), EXACT)
+            extract_unit_ratio((Fraction(1),), (Fraction(1), Fraction(2)), POLICY)
 
     def test_approx_tolerates_rounding(self):
         w = 0.6 + 0.8j
         den = (1 + 2j, 3 - 1j)
         num = tuple(w * d * (1 + 3e-12) for d in den)
-        got = extract_unit_ratio(num, den, APPROX)
+        got = extract_unit_ratio(num, den, POLICY)
         assert got is not None and abs(got - w) < 1e-9
 
 
@@ -140,7 +139,7 @@ class TestProofRoute:
         assert trace.alpha0 == GaussianRational(0, 1)
 
     def test_trace_on_approx_twin(self, type1_spec_approx):
-        res, trace = with_report(classify_via_proof, type1_spec_approx, APPROX)
+        res, trace = with_report(classify_via_proof, type1_spec_approx)
         assert res.verdict is Verdict.CLASSIFIED
         assert abs(res.type_I - 1j) < 1e-9
         assert abs_sq(trace.alpha0) == pytest.approx(1.0)
@@ -231,7 +230,7 @@ class TestFloatSampleScreen:
 
         monkeypatch.setattr(classify, "eval_at_point", counted)
         spec = generate(GenRequest(n=128, kind=Kind.TYPE_I, seed=0))
-        res, _ = classify_via_proof(spec, APPROX, check(spec, APPROX))
+        res, _ = classify_via_proof(spec, POLICY, check(spec, POLICY))
         assert res.verdict is Verdict.CLASSIFIED
         assert len(calls) <= 3
 
@@ -261,7 +260,7 @@ class TestRealRoute:
             with_report(classify_real, type1_spec)
 
     def test_approx(self, circulant_spec):
-        res = with_report(classify_real, circulant_spec.as_approx(), APPROX)
+        res = with_report(classify_real, circulant_spec.as_approx())
         assert res.labels == {RealLabel.CIRCULANT}
 
 

@@ -320,7 +320,7 @@ class TestGenerate:
         )
         assert code == 0
         spec = spec_from_json(doc)
-        res = classify_complex(spec, ScalarPolicy.exact(), check(spec, ScalarPolicy.exact()))
+        res = classify_complex(spec, ScalarPolicy(), check(spec, ScalarPolicy()))
         assert res.type_I == GaussianRational(0, -1)
 
     def test_bad_scale_exits_2(self, capsys):
@@ -338,6 +338,24 @@ class TestGenerate:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "domain",
+        [["--exact", "--witness", '{"re": 1.0, "im": 0.0}'], ["--witness", '{"re": "1", "im": "0"}']],
+    )
+    def test_witness_from_other_domain_exits_2(self, capsys, domain):
+        code, out, err = run_cli(["generate", "--kind", "typeI", "--n", "2", *domain], capsys)
+        assert code == 2 and out is None
+        assert err.startswith("toepnorm: ") and err.count("\n") == 1 and "domain" in err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_exits_2(self, capsys, scale, exact):
+        code, out, err = run_cli(
+            ["generate", "--kind", "typeI", "--n", "2", f"--scale={scale}", *exact], capsys
+        )
+        assert code == 2 and out is None
+        assert err.startswith("toepnorm: ") and err.count("\n") == 1
 
 
 class TestEnumerate:
@@ -400,6 +418,28 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("TOEPNORM_EPS", "soon")
         code, _, err = run_cli(["check", near_normal_file], capsys)
         assert code == 2 and "TOEPNORM_EPS" in err
+
+    @pytest.mark.parametrize("command", [["check"], ["classify", "--route", "both"]])
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--eps", "nan"], None),
+            (["--eps", "inf"], None),
+            (["--eps-floor", "nan"], None),
+            (["--eps-floor", "inf"], None),
+            ([], "nan"),
+            ([], "inf"),
+        ],
+    )
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, command, flags, env):
+        assert cli.main(["generate", "--kind", "typeI", "--n", "2", "--seed", "1"]) == 0
+        path = tmp_path / "spec.json"
+        path.write_text(capsys.readouterr().out)
+        if env is not None:
+            monkeypatch.setenv("TOEPNORM_EPS", env)
+        code, out, err = run_cli([command[0], str(path), *command[1:], *flags], capsys)
+        assert code == 2 and out is None
+        assert err.startswith("toepnorm: ") and "finite" in err
 
     def test_exact_input_ignores_eps(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("TOEPNORM_EPS", "soon")  # never parsed for exact specs

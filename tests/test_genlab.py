@@ -1,5 +1,6 @@
 """Structured generators, perturbation, and exhaustive grid verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ class TestGenerate:
     def test_exact_soundness(self, kind):
         spec = generate(GenRequest(n=5, kind=kind, seed=1, exact=True))
         assert spec.is_exact
-        assert commutator_norm(spec).value == 0
+        assert commutator_norm(spec) == 0
 
     @pytest.mark.parametrize("kind", STRUCTURED)
     def test_approx_soundness(self, kind):
@@ -71,6 +72,18 @@ class TestGenerate:
             generate(GenRequest(n=2, kind=Kind.TYPE_I, witness=GaussianRational(2), exact=True))
         with pytest.raises(ValueError):
             generate(GenRequest(n=2, kind=Kind.TYPE_I, witness=1.001))
+
+    def test_witness_from_other_domain_rejected(self):
+        with pytest.raises(ValueError, match="domain"):
+            generate(GenRequest(n=2, kind=Kind.TYPE_I, witness=1.0 + 0j, exact=True))
+        with pytest.raises(ValueError, match="domain"):
+            generate(GenRequest(n=2, kind=Kind.TYPE_II, witness=GaussianRational(1)))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale, exact):
+        with pytest.raises(ValueError, match="finite"):
+            generate(GenRequest(n=2, kind=Kind.TYPE_I, value_scale=scale, exact=exact))
 
     def test_witness_on_real_kind_rejected(self):
         with pytest.raises(ValueError):

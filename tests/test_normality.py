@@ -174,43 +174,37 @@ class TestFastMax:
 
 
 class TestCheck:
-    def test_policy_domain_mismatch(self, fraction_spec, fraction_spec_approx):
-        with pytest.raises(ValueError):
-            check(fraction_spec, ScalarPolicy.approx())
-        with pytest.raises(ValueError):
-            check(fraction_spec_approx, ScalarPolicy.exact())
-
     def test_not_normal_exact(self, fraction_spec):
-        report = check(fraction_spec, ScalarPolicy.exact())
+        report = check(fraction_spec, ScalarPolicy())
         assert not report.is_normal_fast
         assert report.max_residual == Fraction(36)
         assert report.oracle_norm == Fraction(18)
-        assert report.squared and report.exact and report.agrees
+        assert report.exact and report.agrees
 
     def test_normal_exact(self, type1_spec):
-        report = check(type1_spec, ScalarPolicy.exact())
+        report = check(type1_spec, ScalarPolicy())
         assert report.is_normal_fast
         assert report.max_residual == 0
         assert report.oracle_norm == 0
         assert report.agrees
 
     def test_not_normal_approx(self, fraction_spec_approx):
-        report = check(fraction_spec_approx, ScalarPolicy.approx())
+        report = check(fraction_spec_approx, ScalarPolicy())
         assert not report.is_normal_fast
         assert report.max_residual == pytest.approx(6.0)
         assert report.oracle_norm == pytest.approx(18**0.5)
-        assert not report.squared and not report.exact
+        assert not report.exact
         assert report.agrees
 
     def test_normal_approx_generated(self):
         spec = generate(GenRequest(n=6, kind=Kind.TYPE_II, seed=3))
-        report = check(spec, ScalarPolicy.approx())
+        report = check(spec, ScalarPolicy())
         assert report.is_normal_fast and report.agrees
 
     def test_oracle_agrees_on_perturbed_type1(self):
         # A normal verdict holds the oracle's Frobenius norm over (N+1)^2
         # entries to N(N+1)/2 * tau, not to the per-residual tau itself.
-        policy = ScalarPolicy.approx()
+        policy = ScalarPolicy()
         for seed in range(50):
             spec = perturb(generate(GenRequest(n=8, kind=Kind.TYPE_I, seed=seed)), 1e-10, seed)
             assert check(spec, policy).agrees, seed
@@ -224,10 +218,10 @@ class TestCheck:
     @settings(max_examples=60, deadline=None)
     def test_oracle_agrees_across_the_threshold(self, kind, n, seed, digits):
         spec = perturb(generate(GenRequest(n=n, kind=kind, seed=seed)), 10.0**-digits, seed)
-        assert check(spec, ScalarPolicy.approx()).agrees
+        assert check(spec, ScalarPolicy()).agrees
 
     def test_report_json_exact(self, fraction_spec):
-        doc = report_to_json(check(fraction_spec, ScalarPolicy.exact()))
+        doc = report_to_json(check(fraction_spec, ScalarPolicy()))
         assert doc == {
             "normal": False,
             "max_residual": "36",
@@ -239,7 +233,7 @@ class TestCheck:
         }
 
     def test_report_json_approx_types(self, type1_spec_approx):
-        doc = report_to_json(check(type1_spec_approx, ScalarPolicy.approx()))
+        doc = report_to_json(check(type1_spec_approx, ScalarPolicy()))
         assert doc["normal"] is True
         assert isinstance(doc["max_residual"], float)
         assert isinstance(doc["oracle_norm"], float)
@@ -250,14 +244,14 @@ class TestCheck:
         assert residual_scale(fraction_spec) == 0.0
         assert residual_scale(fraction_spec_approx) == 4.0
         for eps, normal in ((1.5, True), (1.4, False)):
-            policy = ScalarPolicy.approx(eps)
+            policy = ScalarPolicy(eps)
             assert is_normal(fraction_spec_approx, policy) is normal
             assert check(fraction_spec_approx, policy).is_normal_fast is normal
-        assert not is_normal(fraction_spec, ScalarPolicy.exact())
-        with pytest.raises(ValueError):
-            is_normal(fraction_spec, ScalarPolicy.approx())
+        # An exact spec is judged literally, whatever the tolerances.
+        assert not is_normal(fraction_spec, ScalarPolicy(1.5))
+        assert not check(fraction_spec, ScalarPolicy(1.5)).is_normal_fast
 
     @given(exact_specs(2))
     @settings(max_examples=30, deadline=None)
     def test_routes_agree_on_random_exact(self, spec):
-        assert check(spec, ScalarPolicy.exact()).agrees
+        assert check(spec, ScalarPolicy()).agrees

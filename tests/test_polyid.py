@@ -80,10 +80,10 @@ class TestCoeffPoly:
 
     def test_is_zero_poly(self):
         zero = CoeffPoly((Fraction(0), Fraction(0)), POS)
-        assert is_zero_poly(zero, ScalarPolicy.exact())
-        assert not is_zero_poly(CoeffPoly((Fraction(1, 10**9),), POS), ScalarPolicy.exact())
+        assert is_zero_poly(zero, ScalarPolicy())
+        assert not is_zero_poly(CoeffPoly((Fraction(1, 10**9),), POS), ScalarPolicy())
         near = CoeffPoly((1e-14, -1e-15), POS)
-        assert is_zero_poly(near, ScalarPolicy.approx(), scale=1.0)
+        assert is_zero_poly(near, ScalarPolicy(), scale=1.0)
 
 
 class TestEvaluation:
@@ -160,8 +160,8 @@ class TestProductIdentity:
         assert identity8_residual_at_points(fraction_spec, w, w) == Fraction(-6)
 
     def test_coefficient_check(self, type1_spec, fraction_spec):
-        assert identity8_coefficient_check(type1_spec, ScalarPolicy.exact())
-        assert not identity8_coefficient_check(fraction_spec, ScalarPolicy.exact())
+        assert identity8_coefficient_check(type1_spec, ScalarPolicy())
+        assert not identity8_coefficient_check(fraction_spec, ScalarPolicy())
 
     def test_modulus_identity(self, fraction_spec_approx, type1_spec_approx):
         assert identity9_residual(fraction_spec_approx, 0.0) == pytest.approx(-3.0)
@@ -181,9 +181,9 @@ class TestRealIdentities:
         with pytest.raises(ValueError):
             alg_polys(type1_spec)
         with pytest.raises(ValueError):
-            identity14_check(type1_spec, ScalarPolicy.exact())
+            identity14_check(type1_spec, ScalarPolicy())
         with pytest.raises(ValueError):
-            identity16_holds(type1_spec, ScalarPolicy.exact())
+            identity16_holds(type1_spec, ScalarPolicy())
 
     def test_alg_polys_views(self, circulant_spec):
         p, q, pr, qr = alg_polys(circulant_spec)
@@ -199,20 +199,20 @@ class TestRealIdentities:
         assert f2.coeffs == (Fraction(0), Fraction(0), Fraction(0))
 
     def test_identity14(self, circulant_spec, symmetric_spec, fraction_spec):
-        assert identity14_check(circulant_spec, ScalarPolicy.exact())
-        assert identity14_check(symmetric_spec, ScalarPolicy.exact())
-        assert not identity14_check(fraction_spec, ScalarPolicy.exact())
+        assert identity14_check(circulant_spec, ScalarPolicy())
+        assert identity14_check(symmetric_spec, ScalarPolicy())
+        assert not identity14_check(fraction_spec, ScalarPolicy())
 
     def test_identity14_tracks_normality(self, palindromic_spec):
-        assert identity14_check(palindromic_spec, ScalarPolicy.exact())
+        assert identity14_check(palindromic_spec, ScalarPolicy())
 
     def test_identity16(self, circulant_spec, symmetric_spec, fraction_spec):
-        assert identity16_holds(circulant_spec, ScalarPolicy.exact())
-        assert identity16_holds(symmetric_spec, ScalarPolicy.exact())
-        assert not identity16_holds(fraction_spec, ScalarPolicy.exact())
+        assert identity16_holds(circulant_spec, ScalarPolicy())
+        assert identity16_holds(symmetric_spec, ScalarPolicy())
+        assert not identity16_holds(fraction_spec, ScalarPolicy())
 
     def test_identity16_approx(self, circulant_spec):
-        assert identity16_holds(circulant_spec.as_approx(), ScalarPolicy.approx())
+        assert identity16_holds(circulant_spec.as_approx(), ScalarPolicy())
 
     def test_cross_product_subcheck(self, symmetric_spec):
         p, q, pr, qr = alg_polys(symmetric_spec)

@@ -1,6 +1,7 @@
 """Scalar domains: Gaussian rationals, the comparison policy, JSON codecs."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ import hypothesis.strategies as st
 
 from toepnorm.scalar import (
     GaussianRational,
-    Mode,
     ScalarPolicy,
     SpecFormatError,
     abs_sq,
@@ -108,55 +108,68 @@ class TestUnitCircle:
 
 
 class TestScalarPolicy:
-    def test_modes(self):
-        assert ScalarPolicy.exact().mode is Mode.EXACT
-        assert ScalarPolicy.approx().mode is Mode.APPROX
-        assert ScalarPolicy.exact().is_exact
-        assert not ScalarPolicy.approx().is_exact
+    def test_two_tolerance_fields(self):
+        assert [f.name for f in fields(ScalarPolicy)] == ["eps_rel", "eps_abs_floor"]
+        assert ScalarPolicy() == ScalarPolicy(1e-10, 1e-12)
 
     def test_threshold_floor(self):
-        p = ScalarPolicy.approx(1e-10, 1e-12)
+        p = ScalarPolicy(1e-10, 1e-12)
         assert p.threshold(0.0) == 1e-12
         assert p.threshold(100.0) == 1e-8
 
     def test_exact_zero_is_literal(self):
-        p = ScalarPolicy.exact()
+        p = ScalarPolicy()
         assert p.is_zero(Fraction(0))
         assert p.is_zero(GaussianRational(0))
         assert not p.is_zero(Fraction(1, 10**12))
 
     def test_approx_zero_scales(self):
-        p = ScalarPolicy.approx(1e-10, 1e-12)
+        p = ScalarPolicy(1e-10, 1e-12)
         assert p.is_zero(5e-9, scale=100.0)
         assert not p.is_zero(5e-9, scale=1.0)
         assert p.is_zero(1e-13)
 
     def test_equal(self):
-        p = ScalarPolicy.approx()
+        p = ScalarPolicy()
         assert p.equal(1.0 + 0j, 1.0 + 1e-13j, 1.0)
         assert not p.equal(1.0, 1.01, 1.0)
-        assert ScalarPolicy.exact().equal(Fraction(1, 3), Fraction(1, 3))
+        assert ScalarPolicy().equal(Fraction(1, 3), Fraction(1, 3))
 
     def test_unit_modulus_exact(self):
-        p = ScalarPolicy.exact()
+        p = ScalarPolicy()
         assert p.is_unit_modulus(rational_unit_circle(Fraction(5, 7)))
         assert not p.is_unit_modulus(GaussianRational(1, 1))
         assert p.is_unit_modulus(Fraction(-1))
 
     def test_unit_modulus_approx(self):
-        p = ScalarPolicy.approx()
+        p = ScalarPolicy()
         assert p.is_unit_modulus(complex(math.cos(1.0), math.sin(1.0)))
         assert not p.is_unit_modulus(1.0001)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            ScalarPolicy.approx(-1e-10)
+            ScalarPolicy(-1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarPolicy(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ScalarPolicy(1e-10, bad)
+
+    def test_value_type_picks_the_rule(self):
+        loose = ScalarPolicy(0.5, 0.5)
+        assert not loose.is_zero(Fraction(1, 4))
+        assert not loose.is_zero(GaussianRational(0, Fraction(1, 4)))
+        assert loose.is_zero(0.25) and loose.is_zero(0.25j)
+        assert not loose.is_unit_modulus(Fraction(4, 5))
+        assert loose.is_unit_modulus(0.8)
 
     @given(small_fractions)
     def test_unit_modulus_agrees_across_modes(self, u):
         w = rational_unit_circle(u)
-        assert ScalarPolicy.exact().is_unit_modulus(w)
-        assert ScalarPolicy.approx().is_unit_modulus(complex(w))
+        assert ScalarPolicy().is_unit_modulus(w)
+        assert ScalarPolicy().is_unit_modulus(complex(w))
 
 
 class TestJson:
