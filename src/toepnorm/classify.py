@@ -26,7 +26,13 @@ import numpy as np
 
 from .normality import NormalityReport
 from .polyid import eval_at_point, trig_coeffs
-from .scalar import ScalarPolicy, abs_sq, rational_unit_circle
+from .scalar import (
+    GaussianRational,
+    ScalarPolicy,
+    abs_sq,
+    clear_denominators,
+    rational_unit_circle,
+)
 from .toeplitz import ToeplitzSpec
 
 __all__ = [
@@ -129,36 +135,57 @@ def _vector_scale(*vectors) -> float:
     return float(max((abs(x) for v in vectors for x in v), default=0.0))
 
 
-def _pivot(v, exact: bool) -> int:
-    """Index to take a ratio at: the largest |v[k]|, the first on a tie.
+def _pivot(v) -> int:
+    """Index of the largest |v[k]| in a float vector, the first on a tie.
 
-    There rounding perturbs a float ratio least.  Whether an exact ratio
-    fits, and its value, do not depend on which nonzero entry it is taken
-    at, so exact mode takes the first nonzero one and computes no
-    magnitudes.  A zero pivot means an all-zero vector.
+    There rounding perturbs a float ratio least.  A zero pivot means an
+    all-zero vector.
     """
-    if exact:
-        return next((k for k, d in enumerate(v) if d != 0), 0)
     mags = list(map(abs, v))
     return mags.index(max(mags))
+
+
+def _ratio_pivot(nr, ni, dr, di):
+    """The exact ratio test on Gaussian integers N_k, D_k of one scale.
+
+    Returns :data:`ANY` when both vectors vanish, None when no unit-modulus
+    c fits N_k = c * D_k, else the first p with D_p != 0: c = N_p / D_p is
+    unit-modulus iff |N_p|^2 = |D_p|^2 and fits iff N_k * D_p = N_p * D_k
+    for every k.
+    """
+    p = next((k for k, (x, y) in enumerate(zip(dr, di)) if x or y), None)
+    if p is None:
+        return ANY if not any(nr) and not any(ni) else None
+    a, b, c, d = nr[p], ni[p], dr[p], di[p]
+    if a * a + b * b != c * c + d * d:
+        return None
+    for x, y, u, v in zip(nr, ni, dr, di):
+        if x * c - y * d != a * u - b * v or x * d + y * c != a * v + b * u:
+            return None
+    return p
 
 
 def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     """Unit-modulus c with numer[k] = c * denom[k] for all k, if one exists.
 
     Returns the sentinel :data:`ANY` when both vectors are entirely zero,
-    and None when no unit-modulus ratio fits.  c is computed at the
-    :func:`_pivot` entry of denom (the largest in approximate mode) and then
-    verified everywhere, including the zero-denominator indices (which
-    force numer zero there).  Float or complex vectors are compared under
-    the policy's tolerance, exact ones literally.
+    and None when no unit-modulus ratio fits.  Exact vectors are cleared to
+    Gaussian integers over one common denominator and decided there by
+    :func:`_ratio_pivot`; c = numer[p] / denom[p] is formed only for the
+    answer.  Float or complex vectors take c at the :func:`_pivot` entry of
+    denom and verify it everywhere under the policy's tolerance, including
+    the zero-denominator indices (which force numer zero there).
     """
     numer, denom = tuple(numer), tuple(denom)
     if len(numer) != len(denom) or not numer:
         raise ValueError("vectors must have equal, nonzero length")
-    exact = not isinstance(denom[0], (float, complex))
-    scale = 0.0 if exact else _vector_scale(numer, denom)
-    pivot = _pivot(denom, exact)
+    if not isinstance(denom[0], (float, complex)):
+        re, im, _ = clear_denominators(numer + denom)
+        k = len(numer)
+        p = _ratio_pivot(re[:k], im[:k], re[k:], im[k:])
+        return p if p is None or p is ANY else numer[p] / denom[p]
+    scale = _vector_scale(numer, denom)
+    pivot = _pivot(denom)
     if policy.is_zero(denom[pivot], scale):
         if all(policy.is_zero(x, scale) for x in numer):
             return ANY
@@ -170,6 +197,26 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
         if not policy.is_zero(x - c * d, scale):
             return None
     return c
+
+
+def _exact_witnesses(spec: ToeplitzSpec) -> list:
+    """:func:`extract_unit_ratio` of both conditions, on ``spec.cleared``.
+
+    c = N_p * conj(D_p) / |D_p|^2 is built from the pivot's integers: a
+    Fraction on a real spec, else a GaussianRational.
+    """
+    n, (re, im, _) = spec.n, spec.cleared
+    ur, ui, lr, li = re[n - 1 :: -1], im[n - 1 :: -1], re[n + 1 :], im[n + 1 :]
+    out = []
+    for dr, di in ((lr, tuple(-y for y in li)), (lr[::-1], li[::-1])):
+        c = p = _ratio_pivot(ur, ui, dr, di)
+        if p is not None and p is not ANY:
+            den = dr[p] * dr[p] + di[p] * di[p]
+            c = Fraction(ur[p] * dr[p] + ui[p] * di[p], den)
+            if not spec.is_real:
+                c = GaussianRational(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
+        out.append(c)
+    return out
 
 
 def _is_degenerate(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
@@ -205,9 +252,12 @@ def classify_complex(
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
     if _is_degenerate(spec, policy):
         return ClassificationResult(Verdict.DEGENERATE, degenerate=True, normality=report)
-    up, lo = spec.upper, spec.lower
-    w1 = extract_unit_ratio(up, _conj_vec(lo), policy)
-    w2 = extract_unit_ratio(up, tuple(reversed(lo)), policy)
+    if spec.is_exact:
+        w1, w2 = _exact_witnesses(spec)
+    else:
+        up, lo = spec.upper, spec.lower
+        w1 = extract_unit_ratio(up, _conj_vec(lo), policy)
+        w2 = extract_unit_ratio(up, tuple(reversed(lo)), policy)
     alpha0 = None if w1 is ANY or w1 is None else w1
     beta0 = None if w2 is ANY or w2 is None else w2
     if alpha0 is None and beta0 is None:
@@ -228,7 +278,7 @@ def _near_miss(spec: ToeplitzSpec) -> dict:
     lo = [complex(z) for z in spec.lower]
     out = {}
     for name, src in (("type_I", [z.conjugate() for z in lo]), ("type_II", lo[::-1])):
-        pivot = _pivot(src, False)
+        pivot = _pivot(src)
         if src[pivot] == 0:
             out[name] = None
             continue
@@ -384,27 +434,25 @@ def classify_real(
         )
     up, lo = spec.upper, spec.lower
     rlo = tuple(reversed(lo))
-    scale = 0.0 if spec.is_exact else _vector_scale(up, lo)
-    one = Fraction(1) if spec.is_exact else 1.0
-    tests = {
-        RealLabel.SYMMETRIC: (lo, one),
-        RealLabel.SKEW_SYMMETRIC: (lo, -one),
-        RealLabel.CIRCULANT: (rlo, one),
-        RealLabel.SKEW_CIRCULANT: (rlo, -one),
-    }
-    labels = frozenset(
-        label
-        for label, (src, factor) in tests.items()
-        if _condition_holds(up, src, factor, policy, scale)
-    )
+    conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))  # _LABEL_ORDER
+    if spec.is_exact:
+        # a_{-k} = +-a_k or +-a_{N+1-k}, compared on the cleared integers.
+        n, re = spec.n, spec.cleared[0]
+        ur, lr = re[n - 1 :: -1], re[n + 1 :]
+        neg = tuple(-x for x in lr)
+        holds = (ur == lr, ur == neg, ur == lr[::-1], ur == neg[::-1])
+    else:
+        scale = _vector_scale(up, lo)
+        holds = [_condition_holds(up, src, f, policy, scale) for src, f in conditions]
+    labels = frozenset(label for label, ok in zip(_LABEL_ORDER, holds) if ok)
     if not labels:
         raise TheoremViolation(
             "normal real spec earned no structure label",
             spec=spec,
             report=report,
             deviations={
-                label.value: _max_dev(up, src, factor)
-                for label, (src, factor) in tests.items()
+                label.value: _max_dev(up, src, f)
+                for label, (src, f) in zip(_LABEL_ORDER, conditions)
             },
         )
     return RealClassificationResult(Verdict.CLASSIFIED, labels, normality=report)

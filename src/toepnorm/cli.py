@@ -219,7 +219,7 @@ def _cmd_verify_identities(args) -> int:
             scale = residual_scale(spec)
             f1, f2 = factor_polys(spec)
             results["16"] = {
-                "holds": identity16_holds(spec, policy),
+                "holds": identity16_holds(spec, policy, (f1, f2)),
                 "f1_is_zero": is_zero_poly(f1, policy, scale),
                 "f2_is_zero": is_zero_poly(f2, policy, scale),
             }

@@ -27,7 +27,7 @@ from .classify import (
 )
 from .normality import check
 from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
-from .toeplitz import ToeplitzSpec, from_diagonals, spec_to_json
+from .toeplitz import ToeplitzSpec, _float_range_problem, from_diagonals, spec_to_json
 
 __all__ = [
     "EnumReport",
@@ -111,18 +111,19 @@ def generate(req: GenRequest) -> ToeplitzSpec:
     specializations with real draws.  A missing witness for TypeI/TypeII is
     derived from the seed via :func:`rational_unit_circle`, so it is
     unit-modulus in either domain; a given one must lie in the spec's domain
-    (exact, or float/complex).
+    (exact, or float/complex).  A float spec whose entries would exceed the
+    range :func:`toepnorm.toeplitz.spec_from_json` accepts is refused.
     """
     if req.n < 1:
         raise ValueError("n must be at least 1")
     try:
         scale = Fraction(req.value_scale)  # refuses nan and inf
+        if not req.exact:
+            scale = float(scale)  # refuses values beyond float range
     except (OverflowError, ValueError):
         scale = 0
     if scale <= 0:
         raise ValueError(f"value_scale must be positive and finite, got {req.value_scale!r}")
-    if not req.exact:
-        scale = float(scale)
     rng = random.Random(req.seed)
     witness = None
     if req.kind in _WITNESS_KINDS:
@@ -152,6 +153,9 @@ def generate(req: GenRequest) -> ToeplitzSpec:
         upper = [_draw_complex(rng, scale, req.exact) for _ in range(req.n)]
 
     diag = list(reversed(upper)) + [0] + lower
+    problem = None if req.exact else _float_range_problem(req.n, diag)
+    if problem:
+        raise ValueError(f"value_scale {req.value_scale!r} is too large: {problem}")
     return from_diagonals(diag)
 
 

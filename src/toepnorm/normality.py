@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalar import ScalarPolicy
-from .toeplitz import ToeplitzSpec, _int_diag, commutator_norm
+from .toeplitz import ToeplitzSpec, commutator_norm
 
 __all__ = [
     "NormalityReport",
@@ -60,14 +60,14 @@ def residual_scale(spec: ToeplitzSpec) -> float:
 
 
 def _max_exact(spec: ToeplitzSpec):
-    """Largest |r(m, n)|^2 and its first pair, on the cleared integers.
+    """Largest |r(m, n)|^2 and its first pair, on :attr:`ToeplitzSpec.cleared`.
 
     Every residual is the integer residual of the L-scaled entries divided
     by L^2, so |r|^2 is the integer maximum divided by L^4.  The table is
     Hermitian, so the first row-major maximum lies on or above the diagonal
     and only n >= m is scanned.
     """
-    re, im, lcm = _int_diag(spec)
+    re, im, lcm = spec.cleared
     N = spec.n
     # Column n-1 holds a_n, a_{-n}, a_{N+1-n}, a_{-(N+1-n)} as (re, im).
     xr, xi = re[N + 1 :], im[N + 1 :]

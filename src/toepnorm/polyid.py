@@ -215,13 +215,15 @@ def identity14_check(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
     return normality.is_normal(spec, policy)
 
 
-def identity16_holds(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
+def identity16_holds(spec: ToeplitzSpec, policy: ScalarPolicy, factors=None) -> bool:
     """For a normal real spec, one factor polynomial vanishes identically.
 
     Checks that p^2 - q^2 or p^2 - qr^2 is the zero polynomial and, as a
     sub-check, that p*pr = q*qr coefficient-wise.  Coefficients are compared
-    at scale N * (max|a_k|)^2.  A False on a normal input is a
-    theorem-violation diagnostic, not an expected outcome.
+    at scale N * (max|a_k|)^2.  ``factors`` is the spec's
+    :func:`factor_polys`, when the caller has built it already.  A False on
+    a normal input is a theorem-violation diagnostic, not an expected
+    outcome.
     """
     if not spec.is_real:
         raise ValueError("the factor identity requires real entries")
@@ -230,5 +232,5 @@ def identity16_holds(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
     cross = poly_sub(poly_mul(p, pr), poly_mul(q, qr))
     if not is_zero_poly(cross, policy, scale):
         return False
-    f1, f2 = factor_polys(spec)
+    f1, f2 = factor_polys(spec) if factors is None else factors
     return is_zero_poly(f1, policy, scale) or is_zero_poly(f2, policy, scale)

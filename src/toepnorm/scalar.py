@@ -30,6 +30,7 @@ __all__ = [
     "ScalarPolicy",
     "SpecFormatError",
     "abs_sq",
+    "clear_denominators",
     "rational_unit_circle",
     "scalar_from_json",
     "scalar_to_json",
@@ -178,6 +179,21 @@ class GaussianRational:
 def abs_sq(z):
     """Modulus squared z*conj(z), staying inside the scalar's own domain."""
     return z.real * z.real + z.imag * z.imag
+
+
+def clear_denominators(values) -> tuple:
+    """Exact values as Gaussian integers over one common denominator.
+
+    Returns (re, im, L), two lists of ints and the lcm L of every
+    denominator, with re[k] + i*im[k] = L * values[k].  Only numerators and
+    denominators are read, so no Fraction is created.
+    """
+    re = [v.real if isinstance(v, GaussianRational) else v for v in values]
+    im = [v.imag if isinstance(v, GaussianRational) else 0 for v in values]
+    ratios = [x.as_integer_ratio() for x in re + im]
+    lcm = math.lcm(*[d for _, d in ratios])
+    ints = [a * (lcm // d) for a, d in ratios]
+    return ints[: len(re)], ints[len(re) :], lcm
 
 
 def rational_unit_circle(u) -> GaussianRational:

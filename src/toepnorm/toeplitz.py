@@ -10,7 +10,7 @@ the dense products are formed.
 
 from __future__ import annotations
 
-import math
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +21,7 @@ import numpy as np
 from .scalar import (
     GaussianRational,
     SpecFormatError,
+    clear_denominators,
     scalar_from_json,
     scalar_to_json,
 )
@@ -97,6 +98,21 @@ class ToeplitzSpec:
         """The same matrix with every entry converted to complex."""
         return ToeplitzSpec(self.n, tuple(complex(z) for z in self.diag))
 
+    @functools.cached_property
+    def cleared(self) -> tuple:
+        """Exact specs only: the diagonal as Gaussian integers, built once.
+
+        Returns (re, im, L), two tuples of ints and the lcm L of every
+        off-diagonal denominator, with re[k] + i*im[k] = L * a_{k-n} and
+        a_0 forced to zero.  Ratios and (in)equalities of entries hold
+        unchanged between the cleared integers, and a product of two
+        entries is the integer product divided by L^2, so the exact scan,
+        oracle and direct route all run on plain ints.
+        """
+        n = self.n
+        re, im, lcm = clear_denominators(self.diag[:n] + (0,) + self.diag[n + 1 :])
+        return tuple(re), tuple(im), lcm
+
 
 _SCALAR_TYPES = (int, Fraction, GaussianRational, float, complex)
 
@@ -107,6 +123,7 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
     The entry domain is normalized: any float or complex forces the whole
     matrix into the approximate domain; otherwise entries stay exact, as
     Fraction when every imaginary part is zero and GaussianRational else.
+    Entries that are already canonical are kept as they are.
     """
     entries = tuple(entries)
     if len(entries) < 3 or len(entries) % 2 == 0:
@@ -119,7 +136,7 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
     if any(isinstance(e, (float, complex)) for e in entries):
         diag = tuple(complex(e) for e in entries)
     elif all(e.imag == 0 for e in entries):
-        diag = tuple(Fraction(e.real) for e in entries)
+        diag = tuple(e if type(e) is Fraction else Fraction(e.real) for e in entries)
     else:
         diag = tuple(
             e if isinstance(e, GaussianRational) else GaussianRational(e)
@@ -134,21 +151,9 @@ def materialize(spec: ToeplitzSpec) -> list:
     return [[spec.diag[i - j + n] for j in range(spec.dim)] for i in range(spec.dim)]
 
 
-def _forced_diag(spec: ToeplitzSpec) -> list:
-    """Diagonal values with a_0 replaced by the domain's zero."""
-    d = list(spec.diag)
-    if isinstance(d[0], complex):
-        zero = 0j
-    elif isinstance(d[0], Fraction):
-        zero = Fraction(0)
-    else:
-        zero = GaussianRational(0)
-    d[spec.n] = zero
-    return d
-
-
 def _dense_np(spec: ToeplitzSpec) -> np.ndarray:
-    d = np.asarray(_forced_diag(spec), dtype=complex)
+    d = np.asarray(spec.diag, dtype=complex)
+    d[spec.n] = 0
     i = np.arange(spec.dim)
     return d[np.subtract.outer(i, i) + spec.n]
 
@@ -159,35 +164,9 @@ def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
     return t @ th - th @ t
 
 
-def _int_diag(spec: ToeplitzSpec):
-    """Diagonal as Gaussian-integer pairs after clearing denominators.
-
-    Returns (re, im, L) with a_0 forced to zero and every value multiplied
-    by L, the lcm of all denominators.  The commutator is bilinear in the
-    entries, so dividing its integer form by L^2 recovers the exact result
-    while the O(N^3) loops run on plain ints.
-    """
-    dens = [1]
-    for k, e in enumerate(spec.diag):
-        if k == spec.n:
-            continue
-        dens.append(e.real.denominator)
-        dens.append(e.imag.denominator)
-    lcm = math.lcm(*dens)
-    re, im = [], []
-    for k, e in enumerate(spec.diag):
-        if k == spec.n:
-            re.append(0)
-            im.append(0)
-        else:
-            re.append(int(e.real * lcm))
-            im.append(int(e.imag * lcm))
-    return re, im, lcm
-
-
 def _commutator_int(spec: ToeplitzSpec):
     """Integer commutator grid (re, im, L^2) for the exact domain."""
-    dre, dim_, lcm = _int_diag(spec)
+    dre, dim_, lcm = spec.cleared
     n, dim = spec.n, spec.dim
     out_re = []
     out_im = []
@@ -260,6 +239,18 @@ def commutator_norm(spec: ToeplitzSpec):
 _FLOAT_RANGE = sys.float_info.max**0.25 / 2
 
 
+def _float_range_problem(n: int, entries) -> str | None:
+    """Why float diagonal values are too large for the analyses, or None."""
+    big = float(np.abs(np.asarray(entries[:n] + entries[n + 1 :]).view(float)).max())
+    limit = _FLOAT_RANGE / (n + 1)
+    if big > limit:
+        return (
+            f"float entries too large for n={n}: largest component {big!r} "
+            f"exceeds {limit:.3g}"
+        )
+    return None
+
+
 def spec_to_json(spec: ToeplitzSpec) -> dict:
     return {"n": spec.n, "diag": [scalar_to_json(z) for z in spec.diag]}
 
@@ -278,11 +269,7 @@ def spec_from_json(obj) -> ToeplitzSpec:
     if len(kinds) > 1:
         raise SpecFormatError("diag mixes exact and floating entries")
     if isinstance(entries[0], complex):
-        big = float(np.abs(np.asarray(entries[:n] + entries[n + 1 :]).view(float)).max())
-        limit = _FLOAT_RANGE / (n + 1)
-        if big > limit:
-            raise SpecFormatError(
-                f"float entries too large for n={n}: largest component {big!r} "
-                f"exceeds {limit:.3g}"
-            )
+        problem = _float_range_problem(n, entries)
+        if problem:
+            raise SpecFormatError(problem)
     return from_diagonals(entries)

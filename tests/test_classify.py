@@ -82,6 +82,110 @@ class TestExtractUnitRatio:
         assert got is not None and abs(got - w) < 1e-9
 
 
+def reference_ratio(numer, denom):
+    """The former exact ratio: c = numer[p] / denom[p], checked on the values."""
+    pivot = next((k for k, d in enumerate(denom) if d != 0), None)
+    if pivot is None:
+        return ANY if all(x == 0 for x in numer) else None
+    c = numer[pivot] / denom[pivot]
+    if abs_sq(c) != 1 or any(x - c * d != 0 for x, d in zip(numer, denom)):
+        return None
+    return c
+
+
+def assert_same_witness(got, expected):
+    if expected is None or expected is ANY:
+        assert got is expected
+    else:
+        assert got == expected and type(got) is type(expected)
+
+
+parts = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+exact_values = st.one_of(
+    parts,
+    st.builds(GaussianRational, parts, parts),
+    st.sampled_from([Fraction(0), GaussianRational(0)]),
+)
+unit_values = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), GaussianRational(0, 1), GaussianRational(-1)]),
+    unit_params.map(rational_unit_circle),
+)
+
+
+@st.composite
+def ratio_cases(draw):
+    """(numer, denom): fitting, scaled, bumped, free and all-zero cases."""
+    size = draw(st.integers(1, 5))
+    vectors = st.lists(exact_values, min_size=size, max_size=size)
+    denom = draw(st.one_of(vectors, st.just([Fraction(0)] * size)))
+    c = draw(unit_values)
+    shape = draw(st.sampled_from(["fits", "scaled", "bumped", "free", "zero"]))
+    numer = [c * d for d in denom]
+    if shape == "scaled":
+        k = draw(parts.filter(lambda k: abs(k) != 1))
+        numer = [k * x for x in numer]
+    elif shape == "bumped":
+        numer[draw(st.integers(0, size - 1))] += draw(exact_values)
+    elif shape == "free":
+        numer = draw(vectors)
+    elif shape == "zero":
+        numer = [Fraction(0)] * size
+    return tuple(numer), tuple(denom)
+
+
+@st.composite
+def exact_specs(draw):
+    """Generated exact specs of every kind, and free exact diagonals."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(list(Kind)))
+        return generate(GenRequest(n=n, kind=kind, seed=draw(st.integers(0, 999)), exact=True))
+    values = st.one_of(parts, st.builds(GaussianRational, parts, parts))
+    return from_diagonals(draw(st.lists(values, min_size=2 * n + 1, max_size=2 * n + 1)))
+
+
+class TestExactRatioOnIntegers:
+    @given(ratio_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_extract_matches_reference(self, case):
+        numer, denom = case
+        got = extract_unit_ratio(numer, denom, POLICY)
+        assert_same_witness(got, reference_ratio(numer, denom))
+
+    @given(exact_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_direct_witnesses_match_reference(self, spec):
+        up, lo = spec.upper, spec.lower
+        w1, w2 = classify._exact_witnesses(spec)
+        assert_same_witness(w1, reference_ratio(up, tuple(z.conjugate() for z in lo)))
+        assert_same_witness(w2, reference_ratio(up, tuple(reversed(lo))))
+
+    @given(
+        st.integers(1, 5),
+        st.sampled_from(
+            [Kind.SYMMETRIC, Kind.SKEW_SYMMETRIC, Kind.CIRCULANT, Kind.SKEW_CIRCULANT]
+        ),
+        st.integers(0, 999),
+        st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_real_labels_match_reference(self, n, kind, seed, scale):
+        spec = generate(GenRequest(n=n, kind=kind, seed=seed, value_scale=scale, exact=True))
+        up, lo = spec.upper, spec.lower
+        sources = (lo, lo, lo[::-1], lo[::-1])
+        factors = (1, -1, 1, -1)
+        expected = {
+            label
+            for label, src, f in zip(classify._LABEL_ORDER, sources, factors)
+            if all(t - f * x == 0 for t, x in zip(up, src))
+        }
+        res = with_report(classify_real, spec)
+        if res.verdict is Verdict.CLASSIFIED:
+            assert res.labels == expected and kind.value in {l.value for l in expected}
+        else:
+            assert res.verdict is Verdict.DEGENERATE and not any(spec.lower)
+
+
 class TestDirectRoute:
     def test_type1_example(self, type1_spec):
         res = with_report(classify_complex, type1_spec)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toepnorm import cli, normality
+from toepnorm import cli, normality, scalar
 from toepnorm.classify import (
     ClassificationResult,
     TheoremViolation,
@@ -292,6 +292,57 @@ class TestOneNormalityCheckPerRequest:
         assert len(check_calls) == specs
 
 
+@pytest.fixture
+def clear_calls(monkeypatch):
+    """Count scalar.clear_denominators calls through every toepnorm binding."""
+    calls = []
+    original = scalar.clear_denominators
+
+    def counted(values):
+        calls.append(values)
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toepnorm" or name.startswith("toepnorm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOneClearedFormPerSpec:
+    @pytest.mark.parametrize("doc", [FRACTION_DOC, TYPE1_DOC, CIRCULANT_DOC])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["classify", "--route", "direct"],
+            ["classify", "--route", "proof"],
+            ["classify", "--route", "both"],
+            ["verify-identities", "--which", "all"],
+        ],
+    )
+    def test_exact_requests(self, spec_file, capsys, clear_calls, doc, command):
+        code, _, _ = run_cli([*command, spec_file(doc)], capsys)
+        assert code == 0
+        assert len(clear_calls) == 1
+
+    def test_float_request_clears_nothing(self, spec_file, capsys, clear_calls):
+        spec = generate(GenRequest(n=3, kind=Kind.TYPE_I, seed=1))
+        path = spec_file(spec_to_json(spec))
+        code, _, _ = run_cli(["classify", "--route", "both", path], capsys)
+        assert code == 0 and clear_calls == []
+
+    @pytest.mark.parametrize(
+        "argv, specs",
+        [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
+    )
+    def test_enumerate_once_per_spec(self, capsys, clear_calls, argv, specs):
+        code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
+        assert code == 0 and doc["total"] == specs
+        assert len(clear_calls) == specs
+
+
 class TestGenerate:
     def test_round_trip_through_classify(self, tmp_path, capsys):
         code = cli.main(["generate", "--kind", "typeII", "--n", "4", "--seed", "3", "--exact"])
@@ -356,6 +407,25 @@ class TestGenerate:
         )
         assert code == 2 and out is None
         assert err.startswith("toepnorm: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("kind", ["typeI", "symmetric", "unconstrained"])
+    def test_scale_beyond_float_range_exits_2(self, capsys, kind):
+        code, out, err = run_cli(
+            ["generate", "--kind", kind, "--n", "2", "--scale", "1e300"], capsys
+        )
+        assert code == 2 and out is None
+        assert err.startswith("toepnorm: ") and err.count("\n") == 1
+        assert "too large" in err
+
+    def test_scale_within_float_range_round_trips(self, spec_file, capsys):
+        scale = str(_FLOAT_RANGE / 3 / 2)
+        code, doc, _ = run_cli(
+            ["generate", "--kind", "typeI", "--n", "2", "--scale", scale], capsys
+        )
+        assert code == 0
+        code, _, _ = run_cli(["check", spec_file(doc)], capsys)
+        assert code == 0
 
 
 class TestEnumerate:

@@ -19,7 +19,7 @@ from toepnorm.genlab import (
 )
 from toepnorm.normality import fast_max_residual
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
-from toepnorm.toeplitz import commutator_norm
+from toepnorm.toeplitz import _FLOAT_RANGE, commutator_norm, spec_from_json, spec_to_json
 
 ALL_KINDS = list(Kind)
 STRUCTURED = [k for k in ALL_KINDS if k is not Kind.UNCONSTRAINED]
@@ -96,6 +96,31 @@ class TestGenerate:
         assert spec.max_abs() <= 5.0 + 1e-12
         tiny = generate(GenRequest(n=6, kind=Kind.UNCONSTRAINED, seed=3, value_scale="1/4", exact=True))
         assert tiny.max_abs() <= 0.25 + 1e-12
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_scale_beyond_float_range_rejected(self, kind):
+        with pytest.raises(ValueError, match="too large"):
+            generate(GenRequest(n=2, kind=kind, value_scale=1e300))
+        with pytest.raises(ValueError, match="finite"):
+            generate(GenRequest(n=2, kind=kind, value_scale=10**400))
+        assert generate(GenRequest(n=2, kind=kind, value_scale=10**400, exact=True)).is_exact
+
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(ALL_KINDS),
+        st.floats(1e70, 1e80),
+        st.integers(0, 99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generated_float_specs_decode(self, n, kind, scale, seed):
+        """Either the spec decodes back unchanged, or the scale is too large."""
+        try:
+            spec = generate(GenRequest(n=n, kind=kind, seed=seed, value_scale=scale))
+        except ValueError as exc:
+            assert "too large" in str(exc)
+            assert scale > _FLOAT_RANGE / (n + 1)
+        else:
+            assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from toepnorm.scalar import (
     ScalarPolicy,
     SpecFormatError,
     abs_sq,
+    clear_denominators,
     rational_unit_circle,
     scalar_from_json,
     scalar_to_json,
@@ -207,3 +208,20 @@ class TestJson:
     def test_bool_scalar_rejected(self):
         with pytest.raises(TypeError):
             scalar_to_json(True)
+
+
+class TestClearDenominators:
+    @given(
+        st.lists(
+            st.one_of(gaussians, small_fractions, st.integers(-9, 9)), min_size=1, max_size=8
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_parts_over_one_denominator(self, values):
+        re, im, lcm = clear_denominators(values)
+        assert lcm >= 1 and len(re) == len(im) == len(values)
+        for v, r, i in zip(values, re, im):
+            assert type(r) is int and type(i) is int
+            assert GaussianRational(r, i) == GaussianRational(v.real, v.imag) * lcm
+        dens = [Fraction(x).denominator for v in values for x in (v.real, v.imag)]
+        assert lcm == math.lcm(*dens)

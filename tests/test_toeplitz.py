@@ -1,5 +1,6 @@
 """Spec construction, the dense matrix, the commutator oracle, JSON codecs."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,11 @@ class TestConstruction:
         spec = from_diagonals([GaussianRational(2), GaussianRational(0), 1])
         assert spec.diag == (Fraction(2), Fraction(0), Fraction(1))
         assert spec.is_real
+
+    def test_canonical_entries_kept_as_they_are(self):
+        half, unit = Fraction(1, 2), GaussianRational(0, 1)
+        assert from_diagonals([half, 0, half]).diag[0] is half
+        assert from_diagonals([unit, 0, half]).diag[0] is unit
 
     @pytest.mark.parametrize("bad", [[], [1], [1, 2], [1, 2, 3, 4]])
     def test_bad_lengths(self, bad):
@@ -173,3 +179,46 @@ class TestJson:
     def test_malformed_documents(self, doc):
         with pytest.raises(SpecFormatError):
             spec_from_json(doc)
+
+
+mixed_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+def _cleared_reference(spec):
+    """L = lcm of the off-diagonal denominators, computed with Fractions."""
+    parts = [z.real for k, z in enumerate(spec.diag) if k != spec.n]
+    parts += [z.imag for k, z in enumerate(spec.diag) if k != spec.n]
+    return math.lcm(*(Fraction(x).denominator for x in parts))
+
+
+class TestClearedForm:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.one_of(
+                st.lists(mixed_fractions, min_size=2 * n + 1, max_size=2 * n + 1),
+                st.lists(
+                    st.builds(GaussianRational, mixed_fractions, mixed_fractions),
+                    min_size=2 * n + 1,
+                    max_size=2 * n + 1,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cleared_parts_are_entries_times_lcm(self, entries):
+        spec = from_diagonals(entries)
+        re, im, lcm = spec.cleared
+        assert lcm == _cleared_reference(spec)
+        assert isinstance(re, tuple) and isinstance(im, tuple)
+        assert len(re) == len(im) == len(spec.diag)
+        for k, z in enumerate(spec.diag):
+            if k == spec.n:
+                assert re[k] == im[k] == 0
+            else:
+                assert type(re[k]) is int and re[k] == z.real * lcm
+                assert type(im[k]) is int and im[k] == z.imag * lcm
+
+    def test_built_once_per_spec(self):
+        spec = from_diagonals([GaussianRational(1, 2), 5, Fraction(1, 3)])
+        assert spec.cleared is spec.cleared
+        assert spec.cleared == ((3, 0, 1), (6, 0, 0), 3)
