@@ -27,7 +27,14 @@ from .classify import (
 )
 from .normality import check
 from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
-from .toeplitz import ToeplitzSpec, _float_range_problem, from_diagonals, spec_to_json
+from .toeplitz import (
+    ToeplitzSpec,
+    _as_fraction,
+    _as_gaussian,
+    _float_range_problem,
+    from_diagonals,
+    spec_to_json,
+)
 
 __all__ = [
     "EnumReport",
@@ -234,9 +241,20 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     def bump(key):
         histogram[key] = histogram.get(key, 0) + 1
 
-    for combo in itertools.product(values, repeat=2 * req.n):
-        diag = combo[: req.n] + (0,) + combo[req.n :]
-        spec = from_diagonals(diag)
+    # Each half of the off-diagonal, a_-n..a_-1 or a_1..a_n, is put once in
+    # the canonical forms from_diagonals would give it: Fractions when the
+    # whole spec is real, GaussianRationals else.
+    halves = list(itertools.product(values, repeat=req.n))
+    real = [all(v.imag == 0 for v in h) for h in halves]
+    fracs = [tuple(map(_as_fraction, h)) if r else None for h, r in zip(halves, real)]
+    gauss = [tuple(map(_as_gaussian, h)) for h in halves]
+    zero_f, zero_g = (Fraction(0),), (GaussianRational(0),)
+    for i, j in itertools.product(range(len(halves)), repeat=2):
+        if real[i] and real[j]:
+            diag = fracs[i] + zero_f + fracs[j]
+        else:
+            diag = gauss[i] + zero_g + gauss[j]
+        spec = ToeplitzSpec(req.n, diag)
         report = check(spec, policy)
         try:
             if req.real_only:

@@ -69,6 +69,14 @@ class GaussianRational:
         object.__setattr__(self, "real", Fraction(real))
         object.__setattr__(self, "imag", Fraction(imag))
 
+    @classmethod
+    def _of(cls, real: Fraction, imag: Fraction) -> "GaussianRational":
+        """Wrap two parts that are already Fractions, without copying them."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "real", real)
+        object.__setattr__(z, "imag", imag)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
@@ -188,12 +196,16 @@ def clear_denominators(values) -> tuple:
     denominator, with re[k] + i*im[k] = L * values[k].  Only numerators and
     denominators are read, so no Fraction is created.
     """
-    re = [v.real if isinstance(v, GaussianRational) else v for v in values]
-    im = [v.imag if isinstance(v, GaussianRational) else 0 for v in values]
-    ratios = [x.as_integer_ratio() for x in re + im]
+    count = len(values)
+    parts = list(values)
+    if any(isinstance(v, GaussianRational) for v in parts):
+        parts = [v.real if isinstance(v, GaussianRational) else v for v in values]
+        parts += [v.imag if isinstance(v, GaussianRational) else 0 for v in values]
+    ratios = [x.as_integer_ratio() for x in parts]
     lcm = math.lcm(*[d for _, d in ratios])
     ints = [a * (lcm // d) for a, d in ratios]
-    return ints[: len(re)], ints[len(re) :], lcm
+    im = ints[count:] if len(ints) > count else [0] * count
+    return ints[:count], im, lcm
 
 
 def rational_unit_circle(u) -> GaussianRational:
@@ -265,7 +277,7 @@ def scalar_from_json(obj):
     re, im = obj["re"], obj["im"]
     if isinstance(re, str) and isinstance(im, str):
         try:
-            return GaussianRational(Fraction(re), Fraction(im))
+            return GaussianRational._of(Fraction(re), Fraction(im))
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"bad fraction string in scalar: {obj!r}") from exc
     if _json_number(re) and _json_number(im):

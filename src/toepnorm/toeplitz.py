@@ -11,6 +11,7 @@ the dense products are formed.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,8 +96,19 @@ class ToeplitzSpec:
         return float(max(abs(self.diag[k]) for k in range(2 * self.n + 1) if k != self.n))
 
     def as_approx(self) -> "ToeplitzSpec":
-        """The same matrix with every entry converted to complex."""
-        return ToeplitzSpec(self.n, tuple(complex(z) for z in self.diag))
+        """The same matrix with every entry converted to complex.
+
+        Raises :class:`SpecFormatError` when the entries lie beyond the
+        float range the analyses accept (see :func:`_float_range_problem`).
+        """
+        try:
+            diag = tuple(complex(z) for z in self.diag)
+        except OverflowError as exc:
+            raise SpecFormatError(f"entries beyond float range for n={self.n}") from exc
+        problem = _float_range_problem(self.n, diag)
+        if problem:
+            raise SpecFormatError(problem)
+        return ToeplitzSpec(self.n, diag)
 
     @functools.cached_property
     def cleared(self) -> tuple:
@@ -136,13 +148,22 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
     if any(isinstance(e, (float, complex)) for e in entries):
         diag = tuple(complex(e) for e in entries)
     elif all(e.imag == 0 for e in entries):
-        diag = tuple(e if type(e) is Fraction else Fraction(e.real) for e in entries)
+        diag = tuple(map(_as_fraction, entries))
     else:
-        diag = tuple(
-            e if isinstance(e, GaussianRational) else GaussianRational(e)
-            for e in entries
-        )
+        diag = tuple(map(_as_gaussian, entries))
     return ToeplitzSpec((len(entries) - 1) // 2, diag)
+
+
+def _as_fraction(e) -> Fraction:
+    """An exact real entry in canonical form, reusing a Fraction it holds."""
+    if isinstance(e, GaussianRational):
+        return e.real
+    return e if type(e) is Fraction else Fraction(e)
+
+
+def _as_gaussian(e) -> GaussianRational:
+    """An exact entry of a complex spec in canonical form."""
+    return e if isinstance(e, GaussianRational) else GaussianRational(e)
 
 
 def materialize(spec: ToeplitzSpec) -> list:
@@ -151,57 +172,75 @@ def materialize(spec: ToeplitzSpec) -> list:
     return [[spec.diag[i - j + n] for j in range(spec.dim)] for i in range(spec.dim)]
 
 
-def _dense_np(spec: ToeplitzSpec) -> np.ndarray:
-    d = np.asarray(spec.diag, dtype=complex)
-    d[spec.n] = 0
-    i = np.arange(spec.dim)
-    return d[np.subtract.outer(i, i) + spec.n]
+def _dense_np(d: np.ndarray, n: int) -> np.ndarray:
+    """Dense (n+1)x(n+1) T[i][j] = d[i - j + n], as a fresh C-ordered array."""
+    s = d.itemsize
+    return np.ndarray((n + 1, n + 1), d.dtype, d, n * s, (s, -s)).copy()
+
+
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b^H - b^H @ a, the one dense kernel of both domains."""
+    bh = b.conj().T
+    return a.dot(bh) - bh.dot(a)
 
 
 def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
-    t = _dense_np(spec)
-    th = t.conj().T
-    return t @ th - th @ t
+    d = np.array(spec.diag, dtype=complex)
+    d[spec.n] = 0
+    t = _dense_np(d, spec.n)
+    return _comm(t, t)
 
 
-def _commutator_int(spec: ToeplitzSpec):
-    """Integer commutator grid (re, im, L^2) for the exact domain."""
-    dre, dim_, lcm = spec.cleared
-    n, dim = spec.n, spec.dim
-    out_re = []
-    out_im = []
-    for i in range(dim):
-        row_re = []
-        row_im = []
-        for j in range(dim):
-            acc_re = 0
-            acc_im = 0
-            for k in range(dim):
-                xr, xi = dre[i - k + n], dim_[i - k + n]
-                yr, yi = dre[j - k + n], dim_[j - k + n]
-                acc_re += xr * yr + xi * yi
-                acc_im += xi * yr - xr * yi
-                ur, ui = dre[k - i + n], dim_[k - i + n]
-                vr, vi = dre[k - j + n], dim_[k - j + n]
-                acc_re -= ur * vr + ui * vi
-                acc_im -= ur * vi - ui * vr
-            row_re.append(acc_re)
-            row_im.append(acc_im)
-        out_re.append(row_re)
-        out_im.append(row_im)
-    return out_re, out_im, lcm * lcm
+def _commutator_int(spec: ToeplitzSpec) -> tuple:
+    """Exact commutator of the cleared integers, on float64 BLAS.
+
+    Returns (flat, L^2): flat lists the integer entries row by row as
+    re, im, re, im, ..., and each entry of the commutator is that Gaussian
+    integer over L^2.
+
+    A product of two dense matrices whose integer parts are at most B in
+    modulus has every partial sum, in any order, at most 4(N+1) B^2 in
+    modulus (2(N+1) B^2 per product, twice that with the 3M method), so
+    float64 holds each one exactly when that is below 2^53.  With
+    k = floor((53 - ceil(log2 4(N+1))) / 2), B = 2^k - 1 meets the bound.
+    Each integer is split by sign and magnitude into limbs of k bits, so
+    that T = sum_s 2^(ks) A_s and C = sum_(s,t) 2^(k(s+t)) comm(A_s, A_t)
+    with every term exact.  The number of limbs comes from the data; it is
+    1 unless an integer exceeds 2^k - 1.
+    """
+    re, im, lcm = spec.cleared
+    n = spec.n
+    m = 2 * n + 1
+    k = (53 - (4 * n + 3).bit_length()) // 2  # 4n + 3 = 4(N+1) - 1
+    vals = re + im
+    bits = max(max(vals), -min(vals)).bit_length()
+    if bits <= k:  # one limb, the usual case: kept lean for tiny census specs
+        t = _dense_np(np.fromiter(map(complex, re, im), complex, m), n)
+        c = _comm(t, t)
+        return c.view(float).astype(np.int64).ravel().tolist(), lcm * lcm
+    mask = (1 << k) - 1
+    mats = []
+    for shift in range(0, bits, k):
+        limb = [x >> shift & mask if x >= 0 else -(-x >> shift & mask) for x in vals]
+        mats.append(_dense_np(np.fromiter(map(complex, limb[:m], limb[m:]), complex, m), n))
+    flat = [0] * (2 * (n + 1) ** 2)
+    for s, a in enumerate(mats):
+        for t, b in enumerate(mats):
+            c = _comm(a, b).view(float).astype(np.int64).ravel().tolist()
+            shift = k * (s + t)
+            flat = [x + (y << shift) for x, y in zip(flat, c)]
+    return flat, lcm * lcm
 
 
 def _commutator_exact(spec: ToeplitzSpec) -> list:
-    out_re, out_im, den = _commutator_int(spec)
+    flat, den = _commutator_int(spec)
+    width = 2 * spec.dim
+    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
     if spec.is_real:
-        return [[Fraction(r, den) for r in row] for row in out_re]
+        return [[Fraction(r, den) for r in row[::2]] for row in rows]
     return [
-        [
-            GaussianRational(Fraction(r, den), Fraction(i, den))
-            for r, i in zip(row_re, row_im)
-        ]
-        for row_re, row_im in zip(out_re, out_im)
+        [GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(row[::2], row[1::2])]
+        for row in rows
     ]
 
 
@@ -209,7 +248,8 @@ def commutator(spec: ToeplitzSpec) -> list:
     """Dense T*T^H - T^H*T with a_0 forced to zero.
 
     This is the ground-truth normality oracle: it never shares code with the
-    element-wise residual check in :mod:`toepnorm.normality`.
+    element-wise residual check in :mod:`toepnorm.normality`, beyond the
+    cleared integers of an exact spec.
     """
     if spec.is_exact:
         return _commutator_exact(spec)
@@ -223,12 +263,8 @@ def commutator_norm(spec: ToeplitzSpec):
     square root generally leaves the field.
     """
     if spec.is_exact:
-        out_re, out_im, den = _commutator_int(spec)
-        total = 0
-        for row_re, row_im in zip(out_re, out_im):
-            for r, i in zip(row_re, row_im):
-                total += r * r + i * i
-        return Fraction(total, den * den)
+        flat, den = _commutator_int(spec)
+        return Fraction(sum(map(operator.mul, flat, flat)), den * den)
     return float(np.linalg.norm(_commutator_np(spec)))
 
 

@@ -3,9 +3,12 @@
 Each line is ``key sha256(exit code + stdout)``.  The set is ``check``,
 ``classify --route direct|proof|both`` and ``verify-identities --which all``
 on ``generate`` specs of seven kinds, seeds 0-2, exact N in {1, 2, 3, 6, 12}
-and float N in {1, 8, 64, 128}, plus the censuses ``enumerate --n 1 --values
-gauss1`` and ``enumerate --n 2|3 --values int2 --real``: 948 documents.
-Float documents are included, so compare runs made on one machine.
+and float N in {1, 8, 64, 128}; ``check`` and ``classify --route direct`` on
+exact specs of the same kinds and seeds at N in {24, 48}; all five commands on
+three hand-built exact specs whose cleared integers need two or three limbs
+in the dense oracle; and the censuses ``enumerate --n 1 --values gauss1`` and
+``enumerate --n 2|3 --values int2 --real``: 1047 documents.  Float documents
+are included, so compare runs made on one machine.
 
 Compare two trees with one diff:
 
@@ -19,11 +22,15 @@ Not a test module: pytest does not collect it.
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from toepnorm import cli
+from toepnorm.scalar import GaussianRational
+from toepnorm.toeplitz import from_diagonals, spec_to_json
 
 KINDS = (
     "typeI",
@@ -34,7 +41,6 @@ KINDS = (
     "skew-circulant",
     "unconstrained",
 )
-SIZES = (("--exact", (1, 2, 3, 6, 12)), ("--float", (1, 8, 64, 128)))
 COMMANDS = (
     ["check"],
     ["classify", "--route", "direct"],
@@ -42,6 +48,40 @@ COMMANDS = (
     ["classify", "--route", "both"],
     ["verify-identities", "--which", "all"],
 )
+SIZES = (
+    ("--exact", (1, 2, 3, 6, 12), COMMANDS),
+    ("--float", (1, 8, 64, 128), COMMANDS),
+    ("--exact", (24, 48), COMMANDS[:2]),
+)
+
+def _limb_specs():
+    """Exact specs whose cleared integers exceed one oracle limb.
+
+    A limb holds 24 bits at 2 <= n <= 4.  The symmetric spec (n = 2)
+    clears to integers below 2^41, two limbs; the unconstrained one (n = 3)
+    to integers below 2^66, three limbs; the type II one (n = 4,
+    beta0 = (3+4i)/5) to integers below 2^42, two limbs.
+    """
+    sym = [Fraction(2**40 + 3, 7), Fraction(-(2**39) + 5, 3)]
+    yield "symmetric_n2_2limbs", sym[::-1] + [0] + sym
+    unc = [
+        GaussianRational(Fraction(3**38, 3), Fraction(-(2**60), 5)),
+        GaussianRational(Fraction(2**59 + 1, 7), 11),
+        GaussianRational(-(5**25), Fraction(2**58, 3)),
+    ]
+    unc_upper = [
+        GaussianRational(Fraction(-(7**21), 5), 2**57),
+        GaussianRational(1, Fraction(-(3**36), 7)),
+        GaussianRational(Fraction(2**60 - 1, 3), Fraction(5**26, 7)),
+    ]
+    yield "unconstrained_n3_3limbs", unc_upper[::-1] + [0] + unc
+    beta = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    low = [
+        GaussianRational(Fraction(2**35 + k, 11), Fraction(-(3**20) * k, 13))
+        for k in range(1, 5)
+    ]
+    yield "typeII_n4_2limbs", [beta * z for z in low] + [0] + low
+
 CENSUSES = (
     ["enumerate", "--n", "1", "--values", "gauss1"],
     ["enumerate", "--n", "2", "--values", "int2", "--real"],
@@ -60,9 +100,16 @@ def _digest(code, out):
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
+def _commands(spec_path: Path, prefix, commands):
+    for command in commands:
+        argv = [command[0], str(spec_path), *command[1:]]
+        key = " ".join(prefix + ["|"] + command)
+        yield key.replace(" ", "_"), _digest(*_run(argv))
+
+
 def documents(spec_path: Path):
     """Yield (key, digest) for every document of the set, in a fixed order."""
-    for domain, sizes in SIZES:
+    for domain, sizes, commands in SIZES:
         for kind in KINDS:
             for seed in range(3):
                 for n in sizes:
@@ -73,10 +120,10 @@ def documents(spec_path: Path):
                     if code != 0:
                         raise SystemExit(f"{' '.join(gen)} exited {code}")
                     spec_path.write_text(out)
-                    for command in COMMANDS:
-                        argv = [command[0], str(spec_path), *command[1:]]
-                        key = " ".join(gen[1:] + ["|"] + command)
-                        yield key.replace(" ", "_"), _digest(*_run(argv))
+                    yield from _commands(spec_path, gen[1:], commands)
+    for name, diag in _limb_specs():
+        spec_path.write_text(json.dumps(spec_to_json(from_diagonals(diag))))
+        yield from _commands(spec_path, [name], COMMANDS)
     for argv in CENSUSES:
         yield "_".join(argv), _digest(*_run(argv))
 

@@ -265,6 +265,44 @@ def check_calls(monkeypatch):
 CIRCULANT_DOC = spec_to_json(generate(GenRequest(n=3, kind=Kind.CIRCULANT, seed=1, exact=True)))
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, which JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def exact_big_doc(value):
+    """Exact n = 2 spec with a_{-2} = a_2 = value and a_{-1} = a_1 = 1."""
+    big, one, zero = ({"re": v, "im": "0"} for v in (value, "1", "0"))
+    return {"n": 2, "diag": [big, one, zero, one, big]}
+
+
+class TestExactBeyondFloatRange:
+    @pytest.mark.parametrize("value", ["1e400", "1e200"])
+    def test_identities_exit_2(self, spec_file, capsys, value):
+        code = cli.main(["verify-identities", spec_file(exact_big_doc(value)), "--which", "all"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("toepnorm: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e400", "1e200", "1e70"])
+    @pytest.mark.parametrize("command", [["check"], ["classify", "--route", "both"]])
+    def test_exact_routes_still_answer(self, spec_file, capsys, value, command):
+        code = cli.main([*command, spec_file(exact_big_doc(value))])
+        assert code == 0
+        strict_json(capsys.readouterr().out)
+
+    def test_identities_below_the_bound(self, spec_file, capsys):
+        code = cli.main(["verify-identities", spec_file(exact_big_doc("1e70")), "--which", "all"])
+        assert code == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["which"] == ["8", "9", "14", "16"]
+        assert all(math.isfinite(x) for x in all_numbers(doc))
+
+
 class TestOneNormalityCheckPerRequest:
     @pytest.mark.parametrize("doc", [FRACTION_DOC, TYPE1_DOC, CIRCULANT_DOC])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Structured generators, perturbation, and exhaustive grid verification."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import GAUSS1, INT2
+from toepnorm import genlab
 from toepnorm.genlab import (
     EnumRequest,
     GenRequest,
@@ -19,7 +21,13 @@ from toepnorm.genlab import (
 )
 from toepnorm.normality import fast_max_residual
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
-from toepnorm.toeplitz import _FLOAT_RANGE, commutator_norm, spec_from_json, spec_to_json
+from toepnorm.toeplitz import (
+    _FLOAT_RANGE,
+    commutator_norm,
+    from_diagonals,
+    spec_from_json,
+    spec_to_json,
+)
 
 ALL_KINDS = list(Kind)
 STRUCTURED = [k for k in ALL_KINDS if k is not Kind.UNCONSTRAINED]
@@ -187,6 +195,36 @@ class TestEnumerate:
             "SkewSymmetric": 4,
             "Symmetric": 4,
         }
+
+    MIXED = (
+        Fraction(1, 2),
+        2,
+        Fraction(-3, 4),
+        GaussianRational(Fraction(-1, 3), 0),
+        GaussianRational(0, Fraction(5, 6)),
+    )
+
+    @pytest.mark.parametrize(
+        "n, values, real_only",
+        [(1, GAUSS1, False), (1, INT2, True), (2, INT2, True), (1, MIXED, False)],
+    )
+    def test_census_specs_are_from_diagonals(self, monkeypatch, n, values, real_only):
+        seen = []
+        original = genlab.check
+
+        def recording(spec, policy):
+            seen.append(spec)
+            return original(spec, policy)
+
+        monkeypatch.setattr(genlab, "check", recording)
+        enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
+        combos = list(itertools.product(values, repeat=2 * n))
+        assert len(seen) == len(combos)
+        for spec, combo in zip(seen, combos):
+            want = from_diagonals(combo[:n] + (0,) + combo[n:])
+            assert spec.n == want.n and spec.diag == want.diag
+            assert [type(z) for z in spec.diag] == [type(z) for z in want.diag]
+            assert spec.cleared == want.cleared
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):

@@ -1,6 +1,7 @@
 """Spec construction, the dense matrix, the commutator oracle, JSON codecs."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from toepnorm.scalar import GaussianRational, SpecFormatError
+from toepnorm import toeplitz
+from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.scalar import GaussianRational, SpecFormatError, scalar_from_json
 from toepnorm.toeplitz import (
     ToeplitzSpec,
     commutator,
@@ -57,6 +60,16 @@ class TestConstruction:
         half, unit = Fraction(1, 2), GaussianRational(0, 1)
         assert from_diagonals([half, 0, half]).diag[0] is half
         assert from_diagonals([unit, 0, half]).diag[0] is unit
+
+    def test_real_gaussian_keeps_its_fraction(self):
+        doc = {"re": "3/4", "im": "0"}
+        spec = spec_from_json({"n": 1, "diag": [doc, doc, doc]})
+        decoded = scalar_from_json(doc)
+        assert type(decoded.real) is Fraction and type(decoded.imag) is Fraction
+        assert spec.diag == (Fraction(3, 4),) * 3
+        assert all(type(z) is Fraction for z in spec.diag)
+        real_half = GaussianRational(Fraction(1, 2))
+        assert from_diagonals([real_half, 0, real_half]).diag[0] is real_half.real
 
     @pytest.mark.parametrize("bad", [[], [1], [1, 2], [1, 2, 3, 4]])
     def test_bad_lengths(self, bad):
@@ -144,6 +157,141 @@ class TestCommutator:
         spec_a = from_diagonals(diag[:3] + [GaussianRational(a, b)] + diag[4:])
         spec_b = from_diagonals(diag[:3] + [GaussianRational(b, a)] + diag[4:])
         assert commutator(spec_a) == commutator(spec_b)
+
+
+def reference_commutator_int(spec):
+    """Integer commutator grids (re, im, L^2), by the triple loop over ints."""
+    dre, dim_, lcm = spec.cleared
+    n, dim = spec.n, spec.dim
+    out_re = []
+    out_im = []
+    for i in range(dim):
+        row_re = []
+        row_im = []
+        for j in range(dim):
+            acc_re = 0
+            acc_im = 0
+            for k in range(dim):
+                xr, xi = dre[i - k + n], dim_[i - k + n]
+                yr, yi = dre[j - k + n], dim_[j - k + n]
+                acc_re += xr * yr + xi * yi
+                acc_im += xi * yr - xr * yi
+                ur, ui = dre[k - i + n], dim_[k - i + n]
+                vr, vi = dre[k - j + n], dim_[k - j + n]
+                acc_re -= ur * vr + ui * vi
+                acc_im -= ur * vi - ui * vr
+            row_re.append(acc_re)
+            row_im.append(acc_im)
+        out_re.append(row_re)
+        out_im.append(row_im)
+    return out_re, out_im, lcm * lcm
+
+
+def reference_commutator(spec):
+    out_re, out_im, den = reference_commutator_int(spec)
+    if spec.is_real:
+        return [[Fraction(r, den) for r in row] for row in out_re]
+    return [
+        [GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(rr, ri)]
+        for rr, ri in zip(out_re, out_im)
+    ]
+
+
+def reference_norm(spec):
+    out_re, out_im, den = reference_commutator_int(spec)
+    total = sum(r * r + i * i for rr, ri in zip(out_re, out_im) for r, i in zip(rr, ri))
+    return Fraction(total, den * den)
+
+
+def limb_bits(n):
+    """Bits per oracle limb: k = floor((53 - ceil(log2 4(N+1))) / 2)."""
+    return (53 - math.ceil(math.log2(4 * (n + 1)))) // 2
+
+
+def assert_matches_reference(spec):
+    got, want = commutator(spec), reference_commutator(spec)
+    assert got == want
+    assert [type(z) for row in got for z in row] == [type(z) for row in want for z in row]
+    norm = commutator_norm(spec)
+    assert type(norm) is Fraction and norm == reference_norm(spec)
+
+
+big_numerators = st.one_of(st.integers(-20, 20), st.integers(-(2**90), 2**90))
+denominators = st.sampled_from([1, 1, 2, 3, 7, 12, 35])
+big_fractions = st.builds(Fraction, big_numerators, denominators)
+
+
+@st.composite
+def big_exact_specs(draw):
+    n = draw(st.integers(1, 16))
+    part = big_fractions if draw(st.booleans()) else st.builds(
+        GaussianRational, big_fractions, big_fractions
+    )
+    return from_diagonals(draw(st.lists(part, min_size=2 * n + 1, max_size=2 * n + 1)))
+
+
+class TestExactOracle:
+    """The BLAS oracle against the triple loop over Python ints."""
+
+    @given(big_exact_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_loop(self, spec):
+        assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("excess, products", [(0, 1), (1, 4)])
+    def test_largest_single_limb_and_one_above(
+        self, monkeypatch, n, complex_, excess, products
+    ):
+        big = 2 ** limb_bits(n) - 1 + excess
+        calls = []
+        original = toeplitz._comm
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(toeplitz, "_comm", counted)
+        lower = [big] + list(range(1, n))
+        upper = [1 - big] + [-2 * k for k in range(1, n)]
+        if complex_:
+            lower = [GaussianRational(x, -big if k == 0 else k) for k, x in enumerate(lower)]
+        spec = from_diagonals(upper[::-1] + [0] + lower)
+        assert max(map(abs, spec.cleared[0] + spec.cleared[1])) == big
+        assert_matches_reference(spec)
+        assert len(calls) == 2 * products  # commutator and commutator_norm
+
+
+class TestFloatOracleBits:
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                min_size=2 * n + 1,
+                max_size=2 * n + 1,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_norm_is_dense_product_norm(self, entries):
+        self.assert_bits(from_diagonals(entries))
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 8, 64, 128])
+    def test_generated_specs(self, kind, n):
+        self.assert_bits(generate(GenRequest(n=n, kind=kind, seed=n)))
+
+    @staticmethod
+    def assert_bits(spec):
+        d = np.asarray(spec.diag, dtype=complex)
+        d[spec.n] = 0
+        i = np.arange(spec.dim)
+        t = d[np.subtract.outer(i, i) + spec.n]
+        th = t.conj().T
+        want = np.linalg.norm(t @ th - th @ t)
+        assert commutator_norm(spec) == float(want)
+        assert commutator(spec) == (t @ th - th @ t).tolist()
 
 
 class TestJson:
