@@ -214,7 +214,7 @@ def _exact_witnesses(spec: ToeplitzSpec) -> list:
             den = dr[p] * dr[p] + di[p] * di[p]
             c = Fraction(ur[p] * dr[p] + ui[p] * di[p], den)
             if not spec.is_real:
-                c = GaussianRational(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
+                c = GaussianRational._of(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
         out.append(c)
     return out
 

@@ -42,14 +42,17 @@ class SpecFormatError(ValueError):
 
 
 _HASH_IMAG = sys.hash_info.imag
+_ZERO = Fraction(0)
 
 
 def _coerce(value):
     """Lift an exact value to GaussianRational; refuse floats and complex."""
     if isinstance(value, GaussianRational):
         return value
+    if type(value) is Fraction:
+        return _of(value, _ZERO)
     if isinstance(value, Rational) and not isinstance(value, bool):
-        return GaussianRational(value)
+        return _of(Fraction(value), _ZERO)
     return None
 
 
@@ -61,6 +64,11 @@ class GaussianRational:
     denote the same value.  Instances are immutable and hashable; mixing
     with ``float`` or ``complex`` operands is refused rather than silently
     degrading to floating point.
+
+    Both parts are always exactly ``Fraction``, made canonical once when the
+    value is created.  The constructor normalises its arguments; arithmetic
+    builds its results through :meth:`_of`, since Fraction arithmetic on
+    Fraction parts already returns canonical Fractions.
     """
 
     __slots__ = ("real", "imag")
@@ -81,13 +89,13 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        return _of(self.real, -self.imag)
 
     def __add__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real + o.real, self.imag + o.imag)
+        return _of(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
@@ -95,19 +103,19 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real - o.real, self.imag - o.imag)
+        return _of(self.real - o.real, self.imag - o.imag)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.real - self.real, o.imag - self.imag)
+        return _of(o.real - self.real, o.imag - self.imag)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        return _of(
             self.real * o.real - self.imag * o.imag,
             self.real * o.imag + self.imag * o.real,
         )
@@ -121,7 +129,7 @@ class GaussianRational:
         d = o.real * o.real + o.imag * o.imag
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _of(
             (self.real * o.real + self.imag * o.imag) / d,
             (self.imag * o.real - self.real * o.imag) / d,
         )
@@ -133,7 +141,7 @@ class GaussianRational:
         return o.__truediv__(self)
 
     def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
+        return _of(-self.real, -self.imag)
 
     def __pos__(self):
         return self
@@ -142,8 +150,8 @@ class GaussianRational:
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        result = GaussianRational(1)
+            return (_ONE / self) ** (-exponent)
+        result = _ONE
         base = self
         k = exponent
         while k:
@@ -184,6 +192,10 @@ class GaussianRational:
         return f"{self.real}{sign}{abs(self.imag)}i"
 
 
+_of = GaussianRational._of
+_ONE = _of(Fraction(1), _ZERO)
+
+
 def abs_sq(z):
     """Modulus squared z*conj(z), staying inside the scalar's own domain."""
     return z.real * z.real + z.imag * z.imag
@@ -216,7 +228,7 @@ def rational_unit_circle(u) -> GaussianRational:
     """
     u = Fraction(u)
     d = 1 + u * u
-    return GaussianRational((1 - u * u) / d, 2 * u / d)
+    return _of((1 - u * u) / d, 2 * u / d)
 
 
 @dataclass(frozen=True)

@@ -203,10 +203,12 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     modulus (2(N+1) B^2 per product, twice that with the 3M method), so
     float64 holds each one exactly when that is below 2^53.  With
     k = floor((53 - ceil(log2 4(N+1))) / 2), B = 2^k - 1 meets the bound.
-    Each integer is split by sign and magnitude into limbs of k bits, so
-    that T = sum_s 2^(ks) A_s and C = sum_(s,t) 2^(k(s+t)) comm(A_s, A_t)
-    with every term exact.  The number of limbs comes from the data; it is
-    1 unless an integer exceeds 2^k - 1.
+    Each integer is split by sign and magnitude into S limbs of k bits, so
+    that T = sum_s 2^(ks) A_s and C = sum_g 2^(kg) sum_(s+t=g) comm(A_s, A_t)
+    with every term exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59,
+    2012).  The terms of one g are summed in int64 by :func:`_group_sum`,
+    so the Python ints are touched 2S - 1 times, not S^2.  S comes from the
+    data; it is 1 unless an integer exceeds 2^k - 1.
     """
     re, im, lcm = spec.cleared
     n = spec.n
@@ -223,13 +225,34 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     for shift in range(0, bits, k):
         limb = [x >> shift & mask if x >= 0 else -(-x >> shift & mask) for x in vals]
         mats.append(_dense_np(np.fromiter(map(complex, limb[:m], limb[m:]), complex, m), n))
+    last = len(mats) - 1
     flat = [0] * (2 * (n + 1) ** 2)
-    for s, a in enumerate(mats):
-        for t, b in enumerate(mats):
-            c = _comm(a, b).view(float).astype(np.int64).ravel().tolist()
-            shift = k * (s + t)
-            flat = [x + (y << shift) for x, y in zip(flat, c)]
+    for g in range(2 * last + 1):
+        terms = (
+            _comm(mats[s], mats[g - s]).view(float).astype(np.int64).ravel()
+            for s in range(max(0, g - last), min(g, last) + 1)
+        )
+        shift = k * g
+        flat = [x + (y << shift) for x, y in zip(flat, _group_sum(terms))]
     return flat, lcm * lcm
+
+
+_GROUP = 1023
+
+
+def _group_sum(terms) -> list:
+    """Sum of int64 arrays with entries below 2^53 in modulus, as Python ints.
+
+    Up to 1023 such arrays add exactly in int64, since 1023 * 2^53 < 2^63,
+    so the terms are summed in numpy and each group is flushed to Python
+    ints before it would exceed 1023 terms.
+    """
+    total, acc, count = 0, 0, 0
+    for c in terms:
+        if count == _GROUP:
+            total, acc, count = total + acc.astype(object), 0, 0
+        acc, count = acc + c, count + 1
+    return (total + acc.astype(object)).tolist()
 
 
 def _commutator_exact(spec: ToeplitzSpec) -> list:
@@ -239,7 +262,10 @@ def _commutator_exact(spec: ToeplitzSpec) -> list:
     if spec.is_real:
         return [[Fraction(r, den) for r in row[::2]] for row in rows]
     return [
-        [GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(row[::2], row[1::2])]
+        [
+            GaussianRational._of(Fraction(r, den), Fraction(i, den))
+            for r, i in zip(row[::2], row[1::2])
+        ]
         for row in rows
     ]
 

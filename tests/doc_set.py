@@ -4,11 +4,14 @@ Each line is ``key sha256(exit code + stdout)``.  The set is ``check``,
 ``classify --route direct|proof|both`` and ``verify-identities --which all``
 on ``generate`` specs of seven kinds, seeds 0-2, exact N in {1, 2, 3, 6, 12}
 and float N in {1, 8, 64, 128}; ``check`` and ``classify --route direct`` on
-exact specs of the same kinds and seeds at N in {24, 48}; all five commands on
-three hand-built exact specs whose cleared integers need two or three limbs
-in the dense oracle; and the censuses ``enumerate --n 1 --values gauss1`` and
-``enumerate --n 2|3 --values int2 --real``: 1047 documents.  Float documents
-are included, so compare runs made on one machine.
+exact specs of the same kinds and seeds at N in {24, 48}; ``verify-identities
+--which all`` on float specs of the four real kinds, seeds 0-2, at N = 256;
+all five commands on three hand-built exact specs whose cleared integers need
+two or three limbs in the dense oracle; ``check`` and ``classify --route
+direct`` on a hand-built N = 8 exact spec with 400-digit integers (59 limbs);
+and the censuses ``enumerate --n 1 --values gauss1`` and ``enumerate --n 2|3
+--values int2 --real``: 1061 documents.  Float documents are included, so
+compare runs made on one machine.
 
 Compare two trees with one diff:
 
@@ -53,6 +56,7 @@ SIZES = (
     ("--float", (1, 8, 64, 128), COMMANDS),
     ("--exact", (24, 48), COMMANDS[:2]),
 )
+REAL_KINDS = KINDS[2:6]
 
 def _limb_specs():
     """Exact specs whose cleared integers exceed one oracle limb.
@@ -82,6 +86,16 @@ def _limb_specs():
     ]
     yield "typeII_n4_2limbs", [beta * z for z in low] + [0] + low
 
+
+def _wide_spec():
+    """A type II exact spec at n = 8 whose cleared integers have 400 digits."""
+    beta = GaussianRational(Fraction(-4, 5), Fraction(3, 5))
+    low = [
+        GaussianRational(Fraction(10**399 * k + 3**k, 7), Fraction(-(3**838) + k, 11))
+        for k in range(1, 9)
+    ]
+    return [beta * z for z in low] + [0] + low
+
 CENSUSES = (
     ["enumerate", "--n", "1", "--values", "gauss1"],
     ["enumerate", "--n", "2", "--values", "int2", "--real"],
@@ -107,23 +121,33 @@ def _commands(spec_path: Path, prefix, commands):
         yield key.replace(" ", "_"), _digest(*_run(argv))
 
 
+def _generated(spec_path: Path, domain, kinds, sizes, commands):
+    for kind in kinds:
+        for seed in range(3):
+            for n in sizes:
+                gen = ["generate", "--kind", kind, "--n", str(n), "--seed", str(seed)]
+                if domain == "--exact":
+                    gen.append("--exact")
+                code, out = _run(gen)
+                if code != 0:
+                    raise SystemExit(f"{' '.join(gen)} exited {code}")
+                spec_path.write_text(out)
+                yield from _commands(spec_path, gen[1:], commands)
+
+
+def _hand_built(spec_path: Path, name, diag, commands):
+    spec_path.write_text(json.dumps(spec_to_json(from_diagonals(diag))))
+    yield from _commands(spec_path, [name], commands)
+
+
 def documents(spec_path: Path):
     """Yield (key, digest) for every document of the set, in a fixed order."""
     for domain, sizes, commands in SIZES:
-        for kind in KINDS:
-            for seed in range(3):
-                for n in sizes:
-                    gen = ["generate", "--kind", kind, "--n", str(n), "--seed", str(seed)]
-                    if domain == "--exact":
-                        gen.append("--exact")
-                    code, out = _run(gen)
-                    if code != 0:
-                        raise SystemExit(f"{' '.join(gen)} exited {code}")
-                    spec_path.write_text(out)
-                    yield from _commands(spec_path, gen[1:], commands)
+        yield from _generated(spec_path, domain, KINDS, sizes, commands)
+    yield from _generated(spec_path, "--float", REAL_KINDS, (256,), COMMANDS[4:])
     for name, diag in _limb_specs():
-        spec_path.write_text(json.dumps(spec_to_json(from_diagonals(diag))))
-        yield from _commands(spec_path, [name], COMMANDS)
+        yield from _hand_built(spec_path, name, diag, COMMANDS)
+    yield from _hand_built(spec_path, "typeII_n8_400digits", _wide_spec(), COMMANDS[:2])
     for argv in CENSUSES:
         yield "_".join(argv), _digest(*_run(argv))
 

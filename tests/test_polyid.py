@@ -1,6 +1,7 @@
 """Trigonometric and algebraic polynomial views and their identities."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.normality import residual_scale
 from toepnorm.polyid import (
     NEG,
     POS,
@@ -217,3 +219,54 @@ class TestRealIdentities:
     def test_cross_product_subcheck(self, symmetric_spec):
         p, q, pr, qr = alg_polys(symmetric_spec)
         assert poly_mul(p, pr).coeffs == poly_mul(q, qr).coeffs
+
+
+def _loop_mul(a, b) -> list:
+    """Convolution by the plain double loop."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _reference_identity16(spec, policy):
+    """(holds, f1 is zero, f2 is zero) with every product by the double loop."""
+    p, q, pr, qr = (c.coeffs for c in alg_polys(spec))
+    scale = residual_scale(spec)
+
+    def zero_diff(u, v):
+        return all(policy.is_zero(x - y, scale) for x, y in zip(u, v))
+
+    p2 = _loop_mul(p, p)
+    f1, f2 = zero_diff(p2, _loop_mul(q, q)), zero_diff(p2, _loop_mul(qr, qr))
+    return zero_diff(_loop_mul(p, pr), _loop_mul(q, qr)) and (f1 or f2), f1, f2
+
+
+class TestFloatIdentity16:
+    """Float identity 16 on np.convolve gives the double loop's verdicts."""
+
+    @given(
+        st.integers(1, 300),
+        st.sampled_from([Kind.SYMMETRIC, Kind.SKEW_SYMMETRIC, Kind.CIRCULANT, Kind.SKEW_CIRCULANT]),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 1e-13, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_python_loop(self, n, kind, seed, bump):
+        spec = generate(GenRequest(n=n, kind=kind, seed=seed))
+        rng = random.Random(seed)
+        spec = from_diagonals(
+            [0.0 if k == n else z.real + bump * rng.uniform(-1, 1) for k, z in enumerate(spec.diag)]
+        )
+        policy = ScalarPolicy()
+        f1, f2 = factor_polys(spec)
+        assert all(type(c) is float for c in f1.coeffs + f2.coeffs)
+        got = (
+            identity16_holds(spec, policy),
+            is_zero_poly(f1, policy, residual_scale(spec)),
+            is_zero_poly(f2, policy, residual_scale(spec)),
+        )
+        assert got == _reference_identity16(spec, policy)
+        if bump == 0.0:
+            assert got[0]

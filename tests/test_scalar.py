@@ -1,6 +1,7 @@
 """Scalar domains: Gaussian rationals, the comparison policy, JSON codecs."""
 
 import math
+import operator
 from dataclasses import fields
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from toepnorm.classify import _best_sample
+from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.polyid import trig_coeffs
 from toepnorm.scalar import (
     GaussianRational,
     ScalarPolicy,
@@ -90,6 +94,113 @@ class TestGaussianRational:
         got = complex(a * b)
         want = complex(a) * complex(b)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+exact_operands = st.one_of(gaussians, st.integers(-30, 30), small_fractions)
+
+
+def _parts(x):
+    if isinstance(x, GaussianRational):
+        return x.real, x.imag
+    return Fraction(x), Fraction(0)
+
+
+def _reference(op, a, b):
+    """(re, im) of a op b by the textbook Fraction formulas."""
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    if op == "+":
+        return ar + br, ai + bi
+    if op == "-":
+        return ar - br, ai - bi
+    if op == "*":
+        return ar * br - ai * bi, ar * bi + ai * br
+    d = br * br + bi * bi
+    return (ar * br + ai * bi) / d, (ai * br - ar * bi) / d
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def assert_canonical(z, want):
+    """z is a GaussianRational with the wanted parts, both exactly Fraction."""
+    assert type(z) is GaussianRational
+    assert type(z.real) is Fraction and type(z.imag) is Fraction
+    assert (z.real, z.imag) == want
+    if z.imag == 0:
+        assert z == z.real and hash(z) == hash(z.real)
+        if z.real.denominator == 1:
+            assert z == int(z.real) and hash(z) == hash(int(z.real))
+
+
+class TestCanonicalParts:
+    """Every value keeps Fraction parts, though arithmetic never re-wraps them."""
+
+    @given(gaussians, exact_operands, st.sampled_from(sorted(_OPS)), st.booleans())
+    @settings(max_examples=300)
+    def test_operators_match_fraction_formulas(self, z, other, op, swap):
+        a, b = (other, z) if swap else (z, other)
+        if op == "/" and _parts(b) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                _OPS[op](a, b)
+            return
+        assert_canonical(_OPS[op](a, b), _reference(op, a, b))
+
+    @given(gaussians, st.integers(-5, 5))
+    def test_pow_and_negative_pow(self, z, k):
+        if k < 0 and not z:
+            with pytest.raises(ZeroDivisionError):
+                z**k
+            return
+        want = (Fraction(1), Fraction(0))
+        base = z if k >= 0 else GaussianRational._of(*_reference("/", 1, z))
+        for _ in range(abs(k)):
+            want = _reference("*", GaussianRational._of(*want), base)
+        assert_canonical(z**k, want)
+
+    @given(gaussians)
+    def test_unary(self, z):
+        assert_canonical(-z, (-z.real, -z.imag))
+        assert_canonical(z.conjugate(), (z.real, -z.imag))
+        assert +z is z
+
+    @given(st.one_of(small_fractions, st.integers(-30, 30)))
+    def test_unit_circle_point(self, u):
+        f = Fraction(u)
+        d = 1 + f * f
+        assert_canonical(rational_unit_circle(u), ((1 - f * f) / d, 2 * f / d))
+
+    def test_constructor_normalises_user_input(self):
+        assert_canonical(GaussianRational(3, "4/6"), (Fraction(3), Fraction(2, 3)))
+        assert_canonical(GaussianRational(Fraction(-2, 4)), (Fraction(-1, 2), Fraction(0)))
+
+    @pytest.fixture
+    def init_calls(self, monkeypatch):
+        """Every GaussianRational.__init__ call made while the test runs."""
+        calls = []
+        original = GaussianRational.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counted)
+        return calls
+
+    def test_arithmetic_calls_no_constructor(self, init_calls):
+        a, b = GaussianRational(3, "1/2"), GaussianRational("-2/7", 5)
+        init_calls.clear()
+        for op in _OPS.values():
+            op(a, b), op(a, 2), op(Fraction(1, 3), b)
+        -a, a.conjugate(), a**5, a**-3, rational_unit_circle(Fraction(3, 8))
+        assert init_calls == []
+
+    def test_best_sample_calls_no_constructor(self, init_calls):
+        spec = generate(GenRequest(n=6, kind=Kind.UNCONSTRAINED, seed=1, exact=True))
+        t = trig_coeffs(spec)[1]
+        init_calls.clear()
+        x0, w0, t0 = _best_sample(spec, t)
+        assert init_calls == []
+        assert type(t0.real) is Fraction and type(w0.imag) is Fraction
 
 
 class TestUnitCircle:

@@ -262,6 +262,32 @@ class TestExactOracle:
         assert_matches_reference(spec)
         assert len(calls) == 2 * products  # commutator and commutator_norm
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_400_digit_entries_56_limbs(self, complex_):
+        lower = [Fraction(10**399 + 7, 3), Fraction(-(3**838), 7)]
+        upper = [Fraction(-(10**399) * 3 + 1, 7), Fraction(2**1320 + 5, 3)]
+        if complex_:
+            lower = [GaussianRational(x, -y) for x, y in zip(lower, upper)]
+        spec = from_diagonals(upper[::-1] + [0] + lower)
+        bits = max(map(abs, spec.cleared[0] + spec.cleared[1])).bit_length()
+        assert -(-bits // limb_bits(2)) == 56
+        flat, den = toeplitz._commutator_int(spec)
+        want_re, want_im, want_den = reference_commutator_int(spec)
+        assert den == want_den
+        assert flat[::2] == [x for row in want_re for x in row]
+        assert flat[1::2] == [x for row in want_im for x in row]
+        assert_matches_reference(spec)
+
+    def test_group_sum_flushes_before_int64_overflow(self):
+        top = 2**53 - 1
+        rng = np.random.default_rng(0)
+        terms = [
+            np.concatenate(([top, -top], rng.choice([-top, top], size=4))) for _ in range(1100)
+        ]
+        want = [sum(int(t[i]) for t in terms) for i in range(6)]
+        got = toeplitz._group_sum(iter(terms))
+        assert got == want and all(type(x) is int for x in got)
+
 
 class TestFloatOracleBits:
     @given(
