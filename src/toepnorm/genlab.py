@@ -3,9 +3,10 @@
 Generators draw the free coefficients from a seeded RNG and derive the
 dependent side from the requested structure, so every constrained kind is
 normal by construction (exactly so in the exact domain).  Enumeration walks
-a finite value grid over all off-diagonal assignments, checks normality
-with the dual-route checker, classifies every normal instance, and reports
-counts plus any theorem violations (expected: none, ever).
+a finite value grid over all off-diagonal assignments, takes the residual
+scan's and the dense oracle's verdicts on all of them in stacked numpy
+passes, classifies every normal instance, and reports counts plus any
+theorem violations (expected: none, ever).
 """
 
 from __future__ import annotations
@@ -19,19 +20,24 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .classify import (
     TheoremViolation,
     Verdict,
     classify_complex,
     classify_real,
 )
-from .normality import check
-from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
+from .normality import NormalityReport, _table_np, check
+from .scalar import GaussianRational, ScalarPolicy, clear_denominators, rational_unit_circle
 from .toeplitz import (
     ToeplitzSpec,
     _as_fraction,
     _as_gaussian,
+    _comm,
+    _dense_np,
     _float_range_problem,
+    _limb_bits,
     from_diagonals,
     spec_to_json,
 )
@@ -212,28 +218,77 @@ def _is_exact_value(v) -> bool:
     return isinstance(v, (Rational, GaussianRational))
 
 
+# Specs per stacked block, so that a census holds the same arrays however
+# many specs it walks: a few hundred KB at N = 2.
+_BLOCK = 256
+
+# What normality.check returns for every normal exact spec.
+_NORMAL = NormalityReport(
+    max_residual=Fraction(0),
+    worst_pair=(1, 1),
+    is_normal_fast=True,
+    oracle_norm=Fraction(0),
+    agrees=True,
+    exact=True,
+)
+
+
+def _grid_array(values: tuple, n: int) -> np.ndarray:
+    """The grid as one array the stacked verdicts test exactly.
+
+    complex128 holding the cleared Gaussian integers when each part is
+    below 2^k, k the oracle's one-limb width (:func:`toeplitz._limb_bits`):
+    every residual is a sum of four products of such parts and every
+    commutator entry meets the oracle's 2^53 bound, so all are integers
+    float64 holds exactly.  Otherwise an object array of the exact values,
+    on which the same expressions run in exact Python arithmetic.
+    """
+    re, im, _ = clear_denominators(values)
+    if max(map(abs, re + im)) < 1 << _limb_bits(n):
+        return np.fromiter(map(complex, re, im), complex, len(values))
+    canon = _as_fraction if all(v.imag == 0 for v in values) else _as_gaussian
+    return np.fromiter(map(canon, values), object, len(values))
+
+
+def _stacked_verdicts(d: np.ndarray, n: int) -> tuple:
+    """Scan and oracle normality verdicts for a stack of diagonals.
+
+    ``d`` is (B, 2n+1) with a_0 = 0.  The scan finds a spec normal when its
+    residual table is all zero, the oracle when its commutator is; the two
+    share nothing beyond ``d``.
+    """
+    scan = (_table_np(d[:, n + 1 :], d[:, n - 1 :: -1]) == 0).all(axis=(1, 2))
+    t = _dense_np(d, n)
+    return scan, (_comm(t, t) == 0).all(axis=(1, 2))
+
+
 def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     """Check and classify every assignment of the 2N off-diagonal values.
 
-    Exact domain only.  Runs the dual normality check on each instance and
-    classifies the normal ones (real labels when ``real_only``, otherwise
-    type witnesses).  Any theorem violation, or any fast/oracle verdict
-    disagreement, lands in ``violations``; both are expected to stay empty.
+    Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
+    a_1..a_n) in blocks of stacked arrays, where the residual scan and the
+    dense oracle each give every spec a verdict.  Only the specs the scan
+    finds normal, or on which the two verdicts disagree, are built and
+    classified (real labels when ``real_only``, otherwise type witnesses).
+    Any theorem violation, or any scan/oracle disagreement, lands in
+    ``violations``; both are expected to stay empty.
     """
     values = tuple(req.value_set)
     if not values:
         raise ValueError("value_set must not be empty")
     if not all(_is_exact_value(v) for v in values):
         raise ValueError("enumeration values must be exact scalars")
-    if req.real_only and not all(isinstance(v, Rational) for v in values):
+    if req.real_only and any(v.imag != 0 for v in values):
         raise ValueError("real enumeration needs real values")
-    total = len(values) ** (2 * req.n)
+    n = req.n
+    total = len(values) ** (2 * n)
     if total > req.budget:
         raise ValueError(
-            f"{len(values)}^{2 * req.n} = {total} instances exceed the budget "
+            f"{len(values)}^{2 * n} = {total} instances exceed the budget "
             f"of {req.budget}; raise the budget to at least {total} to proceed"
         )
     policy = ScalarPolicy()
+    classify = classify_real if req.real_only else classify_complex
     normal = classified = degenerate = 0
     violations = []
     histogram = {}
@@ -244,49 +299,54 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     # Each half of the off-diagonal, a_-n..a_-1 or a_1..a_n, is put once in
     # the canonical forms from_diagonals would give it: Fractions when the
     # whole spec is real, GaussianRationals else.
-    halves = list(itertools.product(values, repeat=req.n))
+    halves = list(itertools.product(values, repeat=n))
     real = [all(v.imag == 0 for v in h) for h in halves]
     fracs = [tuple(map(_as_fraction, h)) if r else None for h, r in zip(halves, real)]
-    gauss = [tuple(map(_as_gaussian, h)) for h in halves]
+    gauss = None if all(real) else [tuple(map(_as_gaussian, h)) for h in halves]
     zero_f, zero_g = (Fraction(0),), (GaussianRational(0),)
-    for i, j in itertools.product(range(len(halves)), repeat=2):
-        if real[i] and real[j]:
-            diag = fracs[i] + zero_f + fracs[j]
-        else:
-            diag = gauss[i] + zero_g + gauss[j]
-        spec = ToeplitzSpec(req.n, diag)
-        report = check(spec, policy)
-        try:
-            if req.real_only:
-                res = classify_real(spec, policy, report)
+    grid = _grid_array(values, n)
+    half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
+    for start in range(0, total, _BLOCK):
+        rows, cols = np.divmod(np.arange(start, min(start + _BLOCK, total)), len(halves))
+        d = np.zeros((len(rows), 2 * n + 1), grid.dtype)
+        d[:, :n] = half_arr[rows]
+        d[:, n + 1 :] = half_arr[cols]
+        scan, oracle = _stacked_verdicts(d, n)
+        for k in np.flatnonzero(scan | oracle).tolist():
+            i, j = divmod(start + k, len(halves))
+            if real[i] and real[j]:
+                diag = fracs[i] + zero_f + fracs[j]
             else:
-                res = classify_complex(spec, policy, report)
-        except TheoremViolation as exc:
-            violations.append({"spec": spec_to_json(spec), "error": str(exc)})
-            continue
-        if not report.agrees:
-            violations.append(
-                {
-                    "spec": spec_to_json(spec),
-                    "error": "element-wise and dense-oracle verdicts disagree",
-                }
-            )
-            continue
-        if res.verdict is Verdict.NOT_NORMAL:
-            continue
-        normal += 1
-        if res.verdict is Verdict.DEGENERATE:
-            degenerate += 1
-        elif req.real_only:
-            classified += 1
-            for label in res.labels:
-                bump(label.value)
-        else:
-            classified += 1
-            if res.type_I is not None:
-                bump("type_I")
-            if res.type_II is not None:
-                bump("type_II")
+                diag = gauss[i] + zero_g + gauss[j]
+            spec = ToeplitzSpec(n, diag)
+            agree = scan[k] == oracle[k]
+            report = _NORMAL if agree else check(spec, policy)
+            try:
+                res = classify(spec, policy, report)
+            except TheoremViolation as exc:
+                violations.append({"spec": spec_to_json(spec), "error": str(exc)})
+                continue
+            if not agree:
+                violations.append(
+                    {
+                        "spec": spec_to_json(spec),
+                        "error": "element-wise and dense-oracle verdicts disagree",
+                    }
+                )
+                continue
+            normal += 1
+            if res.verdict is Verdict.DEGENERATE:
+                degenerate += 1
+            elif req.real_only:
+                classified += 1
+                for label in res.labels:
+                    bump(label.value)
+            else:
+                classified += 1
+                if res.type_I is not None:
+                    bump("type_I")
+                if res.type_II is not None:
+                    bump("type_II")
     return EnumReport(
         total=total,
         normal=normal,

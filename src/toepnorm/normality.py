@@ -89,16 +89,22 @@ def _max_exact(spec: ToeplitzSpec):
     return Fraction(best, lcm**4), pair
 
 
-def _table_np(spec: ToeplitzSpec) -> np.ndarray:
-    lo = np.asarray(spec.lower, dtype=complex)
-    up = np.asarray(spec.upper, dtype=complex)
-    rlo = lo[::-1]
-    rup = up[::-1]
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def _table_np(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The residual table from (a_1..a_N) and (a_-1..a_-N), rows m, columns n.
+
+    Leading axes stack specs, each with its own table.
+    """
+    rlo = lo[..., ::-1]
+    rup = up[..., ::-1]
     return (
-        np.outer(lo, lo.conj())
-        - np.outer(up.conj(), up)
-        + np.outer(rlo.conj(), rlo)
-        - np.outer(rup, rup.conj())
+        _outer(lo, lo.conj())
+        - _outer(up.conj(), up)
+        + _outer(rlo.conj(), rlo)
+        - _outer(rup, rup.conj())
     )
 
 
@@ -110,7 +116,7 @@ def fast_max_residual(spec: ToeplitzSpec):
     """
     if spec.is_exact:
         return _max_exact(spec)
-    mags = np.abs(_table_np(spec))
+    mags = np.abs(_table_np(np.asarray(spec.lower, complex), np.asarray(spec.upper, complex)))
     flat = int(np.argmax(mags))
     m, n = divmod(flat, spec.n)
     return float(mags.flat[flat]), (m + 1, n + 1)

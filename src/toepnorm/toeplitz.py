@@ -173,15 +173,24 @@ def materialize(spec: ToeplitzSpec) -> list:
 
 
 def _dense_np(d: np.ndarray, n: int) -> np.ndarray:
-    """Dense (n+1)x(n+1) T[i][j] = d[i - j + n], as a fresh C-ordered array."""
+    """Dense (n+1)x(n+1) T[i][j] = d[i - j + n], as a fresh C-ordered array.
+
+    ``d`` is C-contiguous; its leading axes stack diagonals, each of which
+    gets its own matrix.
+    """
     s = d.itemsize
-    return np.ndarray((n + 1, n + 1), d.dtype, d, n * s, (s, -s)).copy()
+    shape, strides = d.shape[:-1] + (n + 1, n + 1), d.strides[:-1] + (s, -s)
+    return np.ndarray(shape, d.dtype, d, n * s, strides).copy()
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b^H - b^H @ a, the one dense kernel of both domains."""
-    bh = b.conj().T
-    return a.dot(bh) - bh.dot(a)
+    """a @ b^H - b^H @ a, the one dense kernel of both domains.
+
+    Works on the last two axes, so stacked matrices give stacked
+    commutators.
+    """
+    bh = b.conj().swapaxes(-1, -2)
+    return a @ bh - bh @ a
 
 
 def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
@@ -189,6 +198,11 @@ def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
     d[spec.n] = 0
     t = _dense_np(d, spec.n)
     return _comm(t, t)
+
+
+def _limb_bits(n: int) -> int:
+    """k = floor((53 - ceil(log2 4(N+1))) / 2): the bits of one oracle limb."""
+    return (53 - (4 * n + 3).bit_length()) // 2  # 4n + 3 = 4(N+1) - 1
 
 
 def _commutator_int(spec: ToeplitzSpec) -> tuple:
@@ -202,39 +216,54 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     modulus has every partial sum, in any order, at most 4(N+1) B^2 in
     modulus (2(N+1) B^2 per product, twice that with the 3M method), so
     float64 holds each one exactly when that is below 2^53.  With
-    k = floor((53 - ceil(log2 4(N+1))) / 2), B = 2^k - 1 meets the bound.
-    Each integer is split by sign and magnitude into S limbs of k bits, so
-    that T = sum_s 2^(ks) A_s and C = sum_g 2^(kg) sum_(s+t=g) comm(A_s, A_t)
-    with every term exact (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59,
-    2012).  The terms of one g are summed in int64 by :func:`_group_sum`,
-    so the Python ints are touched 2S - 1 times, not S^2.  S comes from the
-    data; it is 1 unless an integer exceeds 2^k - 1.
+    k = :func:`_limb_bits` = floor((53 - ceil(log2 4(N+1))) / 2),
+    B = 2^k - 1 meets the bound.  Each integer is split by sign and
+    magnitude into S limbs of k bits, so that T = sum_s 2^(ks) A_s and
+    C = sum_g 2^(kg) sum_(s+t=g) comm(A_s, A_t) with every term exact
+    (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  Since
+    comm(A_t, A_s) = comm(A_s, A_t)^H, C = H + H^H + D, where H holds the
+    terms with s < t and D those with s = t: S(S+1)/2 products, not S^2.
+    The terms of one g are summed in int64 by :func:`_group_sum`, so the
+    Python ints are touched about 3S times.  S comes from the data; it is 1
+    unless an integer exceeds 2^k - 1.
     """
     re, im, lcm = spec.cleared
     n = spec.n
     m = 2 * n + 1
-    k = (53 - (4 * n + 3).bit_length()) // 2  # 4n + 3 = 4(N+1) - 1
+    k = _limb_bits(n)
     vals = re + im
     bits = max(max(vals), -min(vals)).bit_length()
-    if bits <= k:  # one limb, the usual case: kept lean for tiny census specs
+    if bits <= k:  # one limb, the usual case
         t = _dense_np(np.fromiter(map(complex, re, im), complex, m), n)
-        c = _comm(t, t)
-        return c.view(float).astype(np.int64).ravel().tolist(), lcm * lcm
+        return _int64(_comm(t, t)).tolist(), lcm * lcm
     mask = (1 << k) - 1
     mats = []
     for shift in range(0, bits, k):
         limb = [x >> shift & mask if x >= 0 else -(-x >> shift & mask) for x in vals]
         mats.append(_dense_np(np.fromiter(map(complex, limb[:m], limb[m:]), complex, m), n))
-    last = len(mats) - 1
-    flat = [0] * (2 * (n + 1) ** 2)
+    last, size = len(mats) - 1, 2 * (n + 1) ** 2
+    half, diag = [0] * size, [0] * size
     for g in range(2 * last + 1):
-        terms = (
-            _comm(mats[s], mats[g - s]).view(float).astype(np.int64).ravel()
-            for s in range(max(0, g - last), min(g, last) + 1)
-        )
         shift = k * g
-        flat = [x + (y << shift) for x, y in zip(flat, _group_sum(terms))]
-    return flat, lcm * lcm
+        pairs = range(max(0, g - last), (g + 1) // 2)
+        if pairs:
+            terms = (_int64(_comm(mats[s], mats[g - s])) for s in pairs)
+            half = [x + (y << shift) for x, y in zip(half, _group_sum(terms))]
+        if g % 2 == 0:
+            a = mats[g // 2]
+            diag = [x + (y << shift) for x, y in zip(diag, _int64(_comm(a, a)).tolist())]
+    # C = D + H + H^H entry by entry; mirror[i * dim + j] = j * dim + i.
+    dim = n + 1
+    mirror = [j * dim + i for i in range(dim) for j in range(dim)]
+    hre, him = half[::2], half[1::2]
+    diag[::2] = [d + x + hre[t] for d, x, t in zip(diag[::2], hre, mirror)]
+    diag[1::2] = [d + y - him[t] for d, y, t in zip(diag[1::2], him, mirror)]
+    return diag, lcm * lcm
+
+
+def _int64(c: np.ndarray) -> np.ndarray:
+    """A commutator of integers as int64 re, im, re, im, ..., row by row."""
+    return c.view(float).astype(np.int64).ravel()
 
 
 _GROUP = 1023

@@ -9,9 +9,11 @@ exact specs of the same kinds and seeds at N in {24, 48}; ``verify-identities
 all five commands on three hand-built exact specs whose cleared integers need
 two or three limbs in the dense oracle; ``check`` and ``classify --route
 direct`` on a hand-built N = 8 exact spec with 400-digit integers (59 limbs);
-and the censuses ``enumerate --n 1 --values gauss1`` and ``enumerate --n 2|3
---values int2 --real``: 1061 documents.  Float documents are included, so
-compare runs made on one machine.
+and the censuses ``enumerate --n 1|2 --values gauss1``, ``enumerate --n 2
+--values int2`` and ``enumerate --n 2|3 --values int2 --real``: 1063
+documents.  Float documents are included, and their bits depend on the BLAS
+thread count, so the script pins BLAS to one thread before it imports
+toepnorm; still compare runs made on one machine.
 
 Compare two trees with one diff:
 
@@ -26,14 +28,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from toepnorm import cli
-from toepnorm.scalar import GaussianRational
-from toepnorm.toeplitz import from_diagonals, spec_to_json
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from toepnorm import cli  # noqa: E402  (after the BLAS thread pin)
+from toepnorm.scalar import GaussianRational  # noqa: E402
+from toepnorm.toeplitz import from_diagonals, spec_to_json  # noqa: E402
 
 KINDS = (
     "typeI",
@@ -100,6 +106,8 @@ CENSUSES = (
     ["enumerate", "--n", "1", "--values", "gauss1"],
     ["enumerate", "--n", "2", "--values", "int2", "--real"],
     ["enumerate", "--n", "3", "--values", "int2", "--real"],
+    ["enumerate", "--n", "2", "--values", "gauss1"],
+    ["enumerate", "--n", "2", "--values", "int2"],
 )
 
 

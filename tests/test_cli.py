@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toepnorm import cli, normality, scalar
+from toepnorm import cli, genlab, normality, scalar
 from toepnorm.classify import (
     ClassificationResult,
     TheoremViolation,
@@ -324,10 +324,20 @@ class TestOneNormalityCheckPerRequest:
         "argv, specs",
         [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
     )
-    def test_enumerate_once_per_spec(self, capsys, check_calls, argv, specs):
+    def test_enumerate_once_per_spec(self, monkeypatch, capsys, check_calls, argv, specs):
+        """The census takes no per-spec check: the stacked kernels see each spec once."""
+        seen = {"_table_np": 0, "_comm": 0}
+        for name in seen:
+
+            def counted(*arrays, _name=name, _original=getattr(genlab, name)):
+                seen[_name] += len(arrays[0])
+                return _original(*arrays)
+
+            monkeypatch.setattr(genlab, name, counted)
         code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
         assert code == 0 and doc["total"] == specs
-        assert len(check_calls) == specs
+        assert check_calls == []
+        assert seen == {"_table_np": specs, "_comm": specs}
 
 
 @pytest.fixture
@@ -375,10 +385,25 @@ class TestOneClearedFormPerSpec:
         "argv, specs",
         [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
     )
-    def test_enumerate_once_per_spec(self, capsys, clear_calls, argv, specs):
+    def test_enumerate_once_per_spec(self, monkeypatch, capsys, clear_calls, argv, specs):
+        """One clearing for the grid, then one per spec handed to a classifier.
+
+        The degenerate zero spec is the one classified spec never cleared.
+        """
+        classified = []
+        for name in ("classify_real", "classify_complex"):
+
+            def recording(spec, policy, report, _original=getattr(genlab, name)):
+                classified.append(spec)
+                return _original(spec, policy, report)
+
+            monkeypatch.setattr(genlab, name, recording)
         code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
         assert code == 0 and doc["total"] == specs
-        assert len(clear_calls) == specs
+        assert doc["normal"] == len(classified) < specs
+        assert doc["degenerate"] == 1
+        assert len(clear_calls[0]) == {81: 9, 25: 5}[specs]  # the grid
+        assert len(clear_calls) == 1 + len(classified) - 1
 
 
 class TestGenerate:

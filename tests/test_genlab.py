@@ -3,13 +3,15 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import GAUSS1, INT2
-from toepnorm import genlab
+from toepnorm import classify, genlab, normality, toeplitz
 from toepnorm.genlab import (
     EnumRequest,
     GenRequest,
@@ -19,7 +21,8 @@ from toepnorm.genlab import (
     generate,
     perturb,
 )
-from toepnorm.normality import fast_max_residual
+from toepnorm.normality import check, fast_max_residual, report_to_json
+from toepnorm.classify import TheoremViolation, Verdict
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
 from toepnorm.toeplitz import (
     _FLOAT_RANGE,
@@ -209,22 +212,25 @@ class TestEnumerate:
         [(1, GAUSS1, False), (1, INT2, True), (2, INT2, True), (1, MIXED, False)],
     )
     def test_census_specs_are_from_diagonals(self, monkeypatch, n, values, real_only):
+        """The classifiers get exactly the normal specs, as from_diagonals builds them."""
         seen = []
-        original = genlab.check
+        for name in ("classify_real", "classify_complex"):
 
-        def recording(spec, policy):
-            seen.append(spec)
-            return original(spec, policy)
+            def recording(spec, policy, report, _original=getattr(genlab, name)):
+                seen.append((spec, report))
+                return _original(spec, policy, report)
 
-        monkeypatch.setattr(genlab, "check", recording)
+            monkeypatch.setattr(genlab, name, recording)
         enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
-        combos = list(itertools.product(values, repeat=2 * n))
-        assert len(seen) == len(combos)
-        for spec, combo in zip(seen, combos):
-            want = from_diagonals(combo[:n] + (0,) + combo[n:])
+        combos = itertools.product(values, repeat=2 * n)
+        wants = [from_diagonals(c[:n] + (0,) + c[n:]) for c in combos]
+        wants = [w for w in wants if check(w, ScalarPolicy()).is_normal_fast]
+        assert len(seen) == len(wants)
+        for (spec, report), want in zip(seen, wants):
             assert spec.n == want.n and spec.diag == want.diag
             assert [type(z) for z in spec.diag] == [type(z) for z in want.diag]
             assert spec.cleared == want.cleared
+            assert report_to_json(report) == report_to_json(check(want, ScalarPolicy()))
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
@@ -235,8 +241,17 @@ class TestEnumerate:
             enumerate_and_verify(EnumRequest(n=1, value_set=()))
         with pytest.raises(ValueError):
             enumerate_and_verify(EnumRequest(n=1, value_set=(0.5, 1.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="real enumeration needs real values"):
             enumerate_and_verify(EnumRequest(n=1, value_set=GAUSS1, real_only=True))
+
+    def test_real_census_of_real_gaussian_rationals(self):
+        gauss = tuple(GaussianRational(v) for v in (1, -1, 0))
+        fracs = tuple(Fraction(v) for v in (1, -1, 0))
+        for n in (1, 2):
+            got = enumerate_and_verify(EnumRequest(n=n, value_set=gauss, real_only=True))
+            want = enumerate_and_verify(EnumRequest(n=n, value_set=fracs, real_only=True))
+            assert enum_report_to_json(got) == enum_report_to_json(want)
+            assert got.classified > 0
 
     def test_report_json(self):
         report = enumerate_and_verify(EnumRequest(n=1, value_set=INT2, real_only=True))
@@ -244,3 +259,154 @@ class TestEnumerate:
         assert doc["total"] == 25
         assert doc["violations"] == []
         assert list(doc["label_histogram"]) == sorted(doc["label_histogram"])
+
+
+def reference_census(req: EnumRequest) -> dict:
+    """enum_report_to_json of the census by one dual check per spec.
+
+    The per-spec loop the stacked census replaced: build each spec, run
+    normality.check, classify, in the same row-major order.
+    """
+    values, n = tuple(req.value_set), req.n
+    policy = ScalarPolicy()
+    normal = classified = degenerate = 0
+    violations, histogram = [], {}
+    for combo in itertools.product(values, repeat=2 * n):
+        spec = from_diagonals(combo[:n] + (0,) + combo[n:])
+        report = normality.check(spec, policy)
+        try:
+            if req.real_only:
+                res = classify.classify_real(spec, policy, report)
+            else:
+                res = classify.classify_complex(spec, policy, report)
+        except TheoremViolation as exc:
+            violations.append({"spec": spec_to_json(spec), "error": str(exc)})
+            continue
+        if not report.agrees:
+            error = "element-wise and dense-oracle verdicts disagree"
+            violations.append({"spec": spec_to_json(spec), "error": error})
+            continue
+        if res.verdict is Verdict.NOT_NORMAL:
+            continue
+        normal += 1
+        if res.verdict is Verdict.DEGENERATE:
+            degenerate += 1
+            continue
+        classified += 1
+        if req.real_only:
+            keys = [label.value for label in res.labels]
+        else:
+            keys = [k for k in ("type_I", "type_II") if getattr(res, k) is not None]
+        for key in keys:
+            histogram[key] = histogram.get(key, 0) + 1
+    return enum_report_to_json(
+        genlab.EnumReport(
+            total=len(values) ** (2 * n),
+            normal=normal,
+            classified=classified,
+            degenerate=degenerate,
+            violations=tuple(violations),
+            label_histogram=histogram,
+        )
+    )
+
+
+small_ints = st.integers(-3, 3)
+small_fracs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4]))
+real_values = st.one_of(small_ints, small_fracs, st.builds(GaussianRational, small_fracs))
+exact_values = st.one_of(
+    real_values, st.builds(GaussianRational, small_fracs, small_fracs)
+)
+
+
+@st.composite
+def census_requests(draw):
+    n = draw(st.integers(1, 2))
+    real_only = draw(st.booleans())
+    size = draw(st.integers(1, 4 if n == 2 else 6))
+    part = real_values if real_only else exact_values
+    values = draw(st.lists(part, min_size=size, max_size=size))
+    return EnumRequest(n=n, value_set=tuple(values), real_only=real_only)
+
+
+class TestStackedCensus:
+    """The stacked census against the per-spec reference loop."""
+
+    @given(census_requests(), st.sampled_from([1, 7, genlab._BLOCK]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, req, block):
+        with mock.patch.object(genlab, "_BLOCK", block):
+            got = enum_report_to_json(enumerate_and_verify(req))
+        assert got == reference_census(req)
+
+    @pytest.mark.parametrize(
+        "values, real_only",
+        [
+            ((0, 1, -(2**40), 2**40), True),
+            ((Fraction(1, 10**12), 1, -1, 0), True),
+            ((GaussianRational(2**40, 1), GaussianRational(0, -(2**40)), 1, 0), False),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_beyond_one_limb_runs_on_exact_values(self, values, real_only, n):
+        assert genlab._grid_array(values, n).dtype == object
+        req = EnumRequest(n=n, value_set=values, real_only=real_only)
+        got = enum_report_to_json(enumerate_and_verify(req))
+        assert got == reference_census(req)
+        assert got["classified"] > 0 and got["violations"] == []
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_largest_one_limb_grid_is_complex(self, n):
+        top = 2 ** toeplitz._limb_bits(n) - 1
+        assert genlab._grid_array((Fraction(top, 3), -1), n).dtype == complex
+        assert genlab._grid_array((Fraction(top + 1, 3), -1), n).dtype == object
+        assert genlab._grid_array((GaussianRational(1, top + 1),), n).dtype == object
+
+    def test_forced_disagreement_and_violation_in_order(self, monkeypatch):
+        """A tampered oracle and a tampered classifier reach both censuses alike."""
+        req = EnumRequest(n=2, value_set=INT2, real_only=True)
+        # a_-2..a_2 = (1, 2, 0, 2, 1) is symmetric: the oracle is made to see a
+        # nonzero commutator entry for it.  (2, -1, 0, 1, -2) is
+        # skew-symmetric: its classification is made to raise.
+        tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+        original_comm = toeplitz._comm
+
+        def comm(a, b):
+            hit = (a == tampered).all(axis=(-2, -1))
+            return original_comm(a, b) + hit[..., None, None]
+
+        monkeypatch.setattr(toeplitz, "_comm", comm)
+        monkeypatch.setattr(genlab, "_comm", comm)
+        original_real = classify.classify_real
+        victim = from_diagonals([2, -1, 0, 1, -2]).diag
+
+        def classify_real(spec, policy, report):
+            if spec.diag == victim:
+                raise TheoremViolation("forced")
+            return original_real(spec, policy, report)
+
+        monkeypatch.setattr(classify, "classify_real", classify_real)
+        monkeypatch.setattr(genlab, "classify_real", classify_real)
+        want = reference_census(req)
+        assert [(v["spec"]["diag"], v["error"]) for v in want["violations"]] == [
+            (spec_to_json(from_diagonals([1, 2, 0, 2, 1]))["diag"],
+             "element-wise and dense-oracle verdicts disagree"),
+            (spec_to_json(from_diagonals([2, -1, 0, 1, -2]))["diag"], "forced"),
+        ]
+        for block in (1, genlab._BLOCK):
+            with mock.patch.object(genlab, "_BLOCK", block):
+                assert enum_report_to_json(enumerate_and_verify(req)) == want
+
+    def test_no_stacked_call_holds_more_than_one_block(self, monkeypatch):
+        sizes = {"_table_np": [], "_comm": []}
+        for name in sizes:
+
+            def counted(*arrays, _name=name, _original=getattr(genlab, name)):
+                sizes[_name].append(len(arrays[0]))
+                return _original(*arrays)
+
+            monkeypatch.setattr(genlab, name, counted)
+        report = enumerate_and_verify(EnumRequest(n=2, value_set=INT2, real_only=True))
+        for got in sizes.values():
+            assert len(got) > 1 and max(got) <= genlab._BLOCK
+            assert sum(got) == report.total == 5**4

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from toepnorm import normality
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import (
     check,
@@ -92,6 +93,35 @@ def test_table_approx_matches_pointwise():
         assert table[pair] == pytest.approx(complex(value), abs=1e-12)
     value, pair = fast_max_residual(spec)
     assert value == pytest.approx(80**0.5) and pair == (1, 2)
+
+
+class TestStackedTable:
+    """_table_np with a leading stack axis, as the census calls it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_rows_are_single_tables_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal((6, 2 * n + 1)) + 1j * rng.standard_normal((6, 2 * n + 1))
+        stacked = normality._table_np(d[:, n + 1 :], d[:, n - 1 :: -1])
+        for row, diag in zip(stacked, d):
+            lo, up = diag[n + 1 :], diag[n - 1 :: -1]
+            rlo, rup = lo[::-1], up[::-1]
+            outer = (
+                np.outer(lo, lo.conj())
+                - np.outer(up.conj(), up)
+                + np.outer(rlo.conj(), rlo)
+                - np.outer(rup, rup.conj())
+            )
+            assert row.tobytes() == outer.tobytes()
+
+    @given(st.lists(exact_specs(2), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_values_give_exact_residuals(self, specs):
+        d = np.array([spec.diag for spec in specs], dtype=object)
+        stacked = normality._table_np(d[:, 3:], d[:, 1::-1])
+        for table, spec in zip(stacked, specs):
+            got = {(m + 1, k + 1): z for (m, k), z in np.ndenumerate(table)}
+            assert got == all_residuals(spec)
 
 
 @given(exact_specs(3))

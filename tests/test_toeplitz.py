@@ -240,10 +240,14 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("excess, products", [(0, 1), (1, 4)])
+    @pytest.mark.parametrize("excess, limb_pairs", [(0, 1), (1, 4)])
     def test_largest_single_limb_and_one_above(
-        self, monkeypatch, n, complex_, excess, products
+        self, monkeypatch, n, complex_, excess, limb_pairs
     ):
+        # S limbs make S^2 pairs (s, t), but comm(A_t, A_s) = comm(A_s, A_t)^H,
+        # so only the S(S+1)/2 pairs with s <= t take a dense product.
+        limbs = math.isqrt(limb_pairs)
+        products = limbs * (limbs + 1) // 2
         big = 2 ** limb_bits(n) - 1 + excess
         calls = []
         original = toeplitz._comm
@@ -261,6 +265,10 @@ class TestExactOracle:
         assert max(map(abs, spec.cleared[0] + spec.cleared[1])) == big
         assert_matches_reference(spec)
         assert len(calls) == 2 * products  # commutator and commutator_norm
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100, 4095, 4096])
+    def test_limb_bits(self, n):
+        assert toeplitz._limb_bits(n) == limb_bits(n)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_400_digit_entries_56_limbs(self, complex_):
@@ -307,6 +315,25 @@ class TestFloatOracleBits:
     @pytest.mark.parametrize("n", [1, 8, 64, 128])
     def test_generated_specs(self, kind, n):
         self.assert_bits(generate(GenRequest(n=n, kind=kind, seed=n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_stacked_rows_are_single_commutators_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal((5, 2 * n + 1)) + 1j * rng.standard_normal((5, 2 * n + 1))
+        t = toeplitz._dense_np(d, n)
+        stacked = toeplitz._comm(t, t)
+        for row, diag in zip(stacked, d):
+            single = toeplitz._dense_np(diag, n)
+            assert row.tobytes() == toeplitz._comm(single, single).tobytes()
+
+    @given(st.lists(exact_diags(2), min_size=1, max_size=3))
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_exact_values_give_the_exact_commutator(self, diags):
+        specs = [from_diagonals(diag[:2] + [0] + diag[3:]) for diag in diags]
+        d = np.array([spec.diag for spec in specs], dtype=object)
+        t = toeplitz._dense_np(d, 2)
+        for row, spec in zip(toeplitz._comm(t, t), specs):
+            assert row.tolist() == reference_commutator(spec)
 
     @staticmethod
     def assert_bits(spec):
