@@ -102,6 +102,8 @@ def _read_spec(path: str):
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"input is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError("input is not JSON: nested too deeply") from exc
     return spec_from_json(doc)
 
 
@@ -323,6 +325,8 @@ def _witness_arg(text: str):
         return scalar_from_json(json.loads(text))
     except (json.JSONDecodeError, SpecFormatError) as exc:
         raise argparse.ArgumentTypeError(f"bad witness: {exc}")
+    except RecursionError:
+        raise argparse.ArgumentTypeError("bad witness: nested too deeply")
 
 
 @functools.cache

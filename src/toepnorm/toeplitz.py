@@ -11,6 +11,7 @@ the dense products are formed.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,8 @@ class ToeplitzSpec:
     ``diag`` holds the 2n+1 values in ascending index order a_{-n}..a_n and
     is canonical: all entries are Fraction (exact real), GaussianRational
     (exact complex) or complex (approximate).  Build instances through
-    :func:`from_diagonals`, which performs that normalization.
+    :func:`from_diagonals` or :func:`spec_from_json`, which produce that
+    form.
     """
 
     n: int
@@ -190,7 +192,9 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     commutators.
     """
     bh = b.conj().swapaxes(-1, -2)
-    return a @ bh - bh @ a
+    c = a @ bh
+    c -= bh @ a
+    return c
 
 
 def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
@@ -223,9 +227,9 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  Since
     comm(A_t, A_s) = comm(A_s, A_t)^H, C = H + H^H + D, where H holds the
     terms with s < t and D those with s = t: S(S+1)/2 products, not S^2.
-    The terms of one g are summed in int64 by :func:`_group_sum`, so the
-    Python ints are touched about 3S times.  S comes from the data; it is 1
-    unless an integer exceeds 2^k - 1.
+    H + H^H and D of one g are summed in int64 by :func:`_group_sum` before
+    the shift, so the Python ints see 2S - 1 passes.  S comes from the data;
+    it is 1 unless an integer exceeds 2^k - 1.
     """
     re, im, lcm = spec.cleared
     n = spec.n
@@ -241,24 +245,14 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     for shift in range(0, bits, k):
         limb = [x >> shift & mask if x >= 0 else -(-x >> shift & mask) for x in vals]
         mats.append(_dense_np(np.fromiter(map(complex, limb[:m], limb[m:]), complex, m), n))
-    last, size = len(mats) - 1, 2 * (n + 1) ** 2
-    half, diag = [0] * size, [0] * size
+    last, total = len(mats) - 1, [0] * (2 * (n + 1) ** 2)
     for g in range(2 * last + 1):
-        shift = k * g
         pairs = range(max(0, g - last), (g + 1) // 2)
-        if pairs:
-            terms = (_int64(_comm(mats[s], mats[g - s])) for s in pairs)
-            half = [x + (y << shift) for x, y in zip(half, _group_sum(terms))]
-        if g % 2 == 0:
-            a = mats[g // 2]
-            diag = [x + (y << shift) for x, y in zip(diag, _int64(_comm(a, a)).tolist())]
-    # C = D + H + H^H entry by entry; mirror[i * dim + j] = j * dim + i.
-    dim = n + 1
-    mirror = [j * dim + i for i in range(dim) for j in range(dim)]
-    hre, him = half[::2], half[1::2]
-    diag[::2] = [d + x + hre[t] for d, x, t in zip(diag[::2], hre, mirror)]
-    diag[1::2] = [d + y - him[t] for d, y, t in zip(diag[1::2], him, mirror)]
-    return diag, lcm * lcm
+        terms = (_int64(_comm(mats[s], mats[g - s])) for s in pairs)
+        a = mats[g // 2]
+        d = _int64(_comm(a, a)) if g % 2 == 0 else 0
+        total = [x + (y << k * g) for x, y in zip(total, _group_sum(terms, n + 1, d))]
+    return total, lcm * lcm
 
 
 def _int64(c: np.ndarray) -> np.ndarray:
@@ -266,22 +260,33 @@ def _int64(c: np.ndarray) -> np.ndarray:
     return c.view(float).astype(np.int64).ravel()
 
 
-_GROUP = 1023
+_GROUP = 511
+_CONJ = np.array([1, -1])
 
 
-def _group_sum(terms) -> list:
-    """Sum of int64 arrays with entries below 2^53 in modulus, as Python ints.
+def _group_sum(terms, dim: int, d=0) -> list:
+    """d + sum of h + h^H over the int64 terms h, as Python ints.
 
-    Up to 1023 such arrays add exactly in int64, since 1023 * 2^53 < 2^63,
-    so the terms are summed in numpy and each group is flushed to Python
-    ints before it would exceed 1023 terms.
+    Each h and d lists a dim x dim matrix as in :func:`_int64`, with entries
+    below 2^53 in modulus.  The terms are summed in int64 in groups of up to
+    511; a group's sum, its conjugate transpose and d together hold at most
+    2 * 511 + 1 such entries, and 1023 * 2^53 < 2^63, so every group adds
+    exactly before it is flushed to Python ints.  d joins the first group.
     """
     total, acc, count = 0, 0, 0
-    for c in terms:
+    for h in terms:
         if count == _GROUP:
-            total, acc, count = total + acc.astype(object), 0, 0
-        acc, count = acc + c, count + 1
-    return (total + acc.astype(object)).tolist()
+            total, acc, count, d = total + _with_mirror(acc, dim, d), 0, 0, 0
+        acc, count = acc + h, count + 1
+    return (total + _with_mirror(acc, dim, d)).tolist()
+
+
+def _with_mirror(acc, dim: int, d) -> np.ndarray:
+    """acc + acc^H + d in int64, as an object array of Python ints."""
+    if isinstance(acc, int):  # no term h: g = 0 or g = 2(S - 1)
+        return d.astype(object)
+    x = acc.reshape(dim, dim, 2)
+    return ((x + x.transpose(1, 0, 2) * _CONJ).ravel() + d).astype(object)
 
 
 def _commutator_exact(spec: ToeplitzSpec) -> list:
@@ -332,7 +337,8 @@ _FLOAT_RANGE = sys.float_info.max**0.25 / 2
 
 def _float_range_problem(n: int, entries) -> str | None:
     """Why float diagonal values are too large for the analyses, or None."""
-    big = float(np.abs(np.asarray(entries[:n] + entries[n + 1 :]).view(float)).max())
+    parts = np.abs(np.asarray(entries, complex).view(float))
+    big = float(max(parts[: 2 * n].max(), parts[2 * n + 2 :].max()))
     limit = _FLOAT_RANGE / (n + 1)
     if big > limit:
         return (
@@ -347,7 +353,15 @@ def spec_to_json(spec: ToeplitzSpec) -> dict:
 
 
 def spec_from_json(obj) -> ToeplitzSpec:
-    """Decode {"n": N, "diag": [...]} with uniformly encoded entries."""
+    """Decode {"n": N, "diag": [...]} with uniformly encoded entries.
+
+    One pass checks the shape of every entry (an object with exactly the
+    keys re and im, both strings or both JSON numbers), then the parts are
+    converted in bulk by domain: each string through Fraction once, or all
+    numbers into one complex128 array.  A document that fails anywhere is
+    read again entry by entry with :func:`scalar_from_json`, so the error
+    names its first bad entry.
+    """
     if not isinstance(obj, dict) or set(obj) != {"n", "diag"}:
         raise SpecFormatError("spec must be an object with keys n and diag")
     n, diag = obj["n"], obj["diag"]
@@ -355,12 +369,53 @@ def spec_from_json(obj) -> ToeplitzSpec:
         raise SpecFormatError(f"n must be a positive integer, got {n!r}")
     if not isinstance(diag, list) or len(diag) != 2 * n + 1:
         raise SpecFormatError(f"diag must list exactly {2 * n + 1} scalars")
-    entries = [scalar_from_json(e) for e in diag]
-    kinds = {isinstance(e, complex) for e in entries}
-    if len(kinds) > 1:
+    parts, spec = _entry_parts(diag), None
+    if parts is not None:
+        kinds = set(map(type, parts))
+        if all(issubclass(t, str) for t in kinds):
+            spec = _exact_spec(n, parts)
+        elif all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in kinds):
+            spec = _float_spec(n, parts)
+    if spec is None:
+        for entry in diag:
+            scalar_from_json(entry)  # raises the first bad entry's error
         raise SpecFormatError("diag mixes exact and floating entries")
-    if isinstance(entries[0], complex):
-        problem = _float_range_problem(n, entries)
-        if problem:
-            raise SpecFormatError(problem)
-    return from_diagonals(entries)
+    return spec
+
+
+_RE_IM = operator.itemgetter("re", "im")
+
+
+def _entry_parts(diag: list) -> list | None:
+    """re, im, re, im, ... when every entry has exactly the keys re and im."""
+    if not all(issubclass(t, dict) for t in set(map(type, diag))) or set(map(len, diag)) != {2}:
+        return None
+    try:
+        return list(itertools.chain.from_iterable(map(_RE_IM, diag)))
+    except KeyError:
+        return None
+
+
+def _exact_spec(n: int, parts: list) -> ToeplitzSpec | None:
+    """The spec of fraction strings; Fractions unless some part is imaginary."""
+    try:
+        parts = list(map(Fraction, parts))
+    except (ValueError, ZeroDivisionError):
+        return None
+    re, im = parts[::2], parts[1::2]
+    return ToeplitzSpec(n, tuple(map(GaussianRational._of, re, im) if any(im) else re))
+
+
+def _float_spec(n: int, parts: list) -> ToeplitzSpec | None:
+    """The spec of JSON numbers, or None when one is not a finite float."""
+    try:
+        d = np.array(parts, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(d).all():
+        return None
+    d = d.view(complex)
+    problem = _float_range_problem(n, d)
+    if problem:
+        raise SpecFormatError(problem)
+    return ToeplitzSpec(n, tuple(d.tolist()))

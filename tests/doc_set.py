@@ -6,11 +6,13 @@ on ``generate`` specs of seven kinds, seeds 0-2, exact N in {1, 2, 3, 6, 12}
 and float N in {1, 8, 64, 128}; ``check`` and ``classify --route direct`` on
 exact specs of the same kinds and seeds at N in {24, 48}; ``verify-identities
 --which all`` on float specs of the four real kinds, seeds 0-2, at N = 256;
-all five commands on three hand-built exact specs whose cleared integers need
+``check`` and ``classify --route both`` on float typeI, symmetric and
+unconstrained specs, seeds 0-1, at N in {300, 1000}, where the residual scan
+runs in several row blocks, the last one short; all five commands on three hand-built exact specs whose cleared integers need
 two or three limbs in the dense oracle; ``check`` and ``classify --route
 direct`` on a hand-built N = 8 exact spec with 400-digit integers (59 limbs);
 and the censuses ``enumerate --n 1|2 --values gauss1``, ``enumerate --n 2
---values int2`` and ``enumerate --n 2|3 --values int2 --real``: 1063
+--values int2`` and ``enumerate --n 2|3 --values int2 --real``: 1087
 documents.  Float documents are included, and their bits depend on the BLAS
 thread count, so the script pins BLAS to one thread before it imports
 toepnorm; still compare runs made on one machine.
@@ -63,6 +65,7 @@ SIZES = (
     ("--exact", (24, 48), COMMANDS[:2]),
 )
 REAL_KINDS = KINDS[2:6]
+BLOCKED_KINDS = ("typeI", "symmetric", "unconstrained")
 
 def _limb_specs():
     """Exact specs whose cleared integers exceed one oracle limb.
@@ -129,9 +132,9 @@ def _commands(spec_path: Path, prefix, commands):
         yield key.replace(" ", "_"), _digest(*_run(argv))
 
 
-def _generated(spec_path: Path, domain, kinds, sizes, commands):
+def _generated(spec_path: Path, domain, kinds, sizes, commands, seeds=range(3)):
     for kind in kinds:
-        for seed in range(3):
+        for seed in seeds:
             for n in sizes:
                 gen = ["generate", "--kind", kind, "--n", str(n), "--seed", str(seed)]
                 if domain == "--exact":
@@ -153,6 +156,9 @@ def documents(spec_path: Path):
     for domain, sizes, commands in SIZES:
         yield from _generated(spec_path, domain, KINDS, sizes, commands)
     yield from _generated(spec_path, "--float", REAL_KINDS, (256,), COMMANDS[4:])
+    yield from _generated(
+        spec_path, "--float", BLOCKED_KINDS, (300, 1000), (COMMANDS[0], COMMANDS[3]), range(2)
+    )
     for name, diag in _limb_specs():
         yield from _hand_built(spec_path, name, diag, COMMANDS)
     yield from _hand_built(spec_path, "typeII_n8_400digits", _wide_spec(), COMMANDS[:2])

@@ -94,6 +94,29 @@ class TestCheck:
         assert code == 2
 
 
+class TestDeeplyNestedJson:
+    DEEP = "[" * 200_000
+
+    def test_spec_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 2 and out is None
+        assert err == "toepnorm: input is not JSON: nested too deeply\n"
+
+    def test_spec_on_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.DEEP))
+        code, out, err = run_cli(["classify", "-", "--route", "both"], capsys)
+        assert code == 2 and out is None
+        assert err == "toepnorm: input is not JSON: nested too deeply\n"
+
+    def test_witness_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--kind", "typeI", "--n", "2", "--witness", self.DEEP])
+        assert exc.value.code == 64
+        assert "bad witness: nested too deeply" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_direct(self, spec_file, capsys):
         code, doc, _ = run_cli(["classify", spec_file(TYPE1_DOC)], capsys)

@@ -203,6 +203,110 @@ class TestFastMax:
         assert pair == (1, 3)
 
 
+def full_table_max(spec):
+    """The float scan over the whole table at once, as it ran before row blocks."""
+    lo, up = np.asarray(spec.lower, complex), np.asarray(spec.upper, complex)
+    rlo, rup = lo[::-1], up[::-1]
+    mags = np.abs(
+        lo[:, None] * lo.conj()[None, :]
+        - up.conj()[:, None] * up[None, :]
+        + rlo.conj()[:, None] * rlo[None, :]
+        - rup[:, None] * rup.conj()[None, :]
+    )
+    flat = int(np.argmax(mags))
+    m, n = divmod(flat, spec.n)
+    return float(mags.flat[flat]), (m + 1, n + 1)
+
+
+def assert_scan_is_full_table(spec):
+    (value, pair), (want, want_pair) = fast_max_residual(spec), full_table_max(spec)
+    assert value.hex() == want.hex() and pair == want_pair
+
+
+@st.composite
+def float_scan_specs(draw, sizes=st.integers(1, 300)):
+    """Generated float specs of every kind, maybe perturbed, scaled by 2^k."""
+    n = draw(sizes)
+    spec = generate(GenRequest(n=n, kind=draw(st.sampled_from(list(Kind))), seed=draw(st.integers(0, 99))))
+    if draw(st.booleans()):
+        spec = perturb(spec, draw(st.sampled_from([1e-14, 1e-9, 1e-3])), seed=draw(st.integers(0, 9)))
+    scale = 2.0 ** draw(st.integers(-200, 200))
+    return from_diagonals([z * scale for z in spec.diag])
+
+
+class TestBlockedScan:
+    """The float scan in row blocks against one pass over the whole table."""
+
+    @given(float_scan_specs())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_full_table(self, spec):
+        assert_scan_is_full_table(spec)
+
+    @given(float_scan_specs(st.sampled_from([64, 65, 127, 128, 129, 300])))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_full_table_on_ragged_blocks(self, spec):
+        assert_scan_is_full_table(spec)
+
+    @pytest.mark.parametrize("n, p", [(65, 2), (100, 30), (129, 31), (300, 13)])
+    def test_tie_across_a_block_boundary_keeps_the_first(self, n, p):
+        # Only a_p is nonzero, so the table is zero but for r(p, p) = 1 and
+        # r(N+1-p, N+1-p) = 1, which lie in different row blocks.
+        lower = [0.0] * n
+        lower[p - 1] = 1.0
+        spec = from_diagonals([0.0] * n + [0.0] + lower)
+        height = max(1, 4096 // n)
+        assert (p - 1) // height != (n - p) // height
+        assert fast_max_residual(spec) == (1.0, (p, p))
+        assert_scan_is_full_table(spec)
+
+    def test_larger_value_in_a_later_block_wins(self):
+        n = 100
+        lower = [0.0] * n
+        # Rows 1-40 peak at r(30, 50) = 2; r(50, 50) = 4 in rows 41-80 wins.
+        lower[29], lower[49] = 1.0, 2.0
+        spec = from_diagonals([0.0] * n + [0.0] + lower)
+        assert fast_max_residual(spec) == (4.0, (50, 50))
+        assert_scan_is_full_table(spec)
+
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_nan_in_a_later_block_is_reported_like_argmax(self, n):
+        rng = np.random.default_rng(n)
+        diag = list(rng.standard_normal(2 * n + 1) + 0j)
+        diag[2 * n] = complex("nan")  # a_N: rows 1 and N, columns 1 and N
+        diag[n - 1] = 0j
+        spec = from_diagonals(diag)
+        (value, pair), (want, want_pair) = fast_max_residual(spec), full_table_max(spec)
+        assert np.isnan(value) and np.isnan(want) and pair == want_pair
+
+    @pytest.mark.parametrize("n, calls, rows", [(64, 1, 64), (128, 4, 32), (129, 5, 31), (5000, 5000, 1)])
+    def test_no_block_holds_more_than_4096_entries(self, monkeypatch, n, calls, rows):
+        seen = []
+        original = normality._table_np
+
+        def recorded(lo, up, rows=slice(None)):
+            table = original(lo, up, rows)
+            seen.append(table.shape)
+            return table
+
+        monkeypatch.setattr(normality, "_table_np", recorded)
+        rng = np.random.default_rng(n)
+        spec = from_diagonals(list(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)))
+        fast_max_residual(spec)
+        assert len(seen) == calls
+        assert seen[0] == (rows, n) and sum(r for r, _ in seen) == n
+        assert all(r * c <= max(4096, n) for r, c in seen)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_row_slices_are_rows_of_the_whole_table(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal((3, 2 * n + 1)) + 1j * rng.standard_normal((3, 2 * n + 1))
+        lo, up = d[:, n + 1 :], d[:, n - 1 :: -1]
+        whole = normality._table_np(lo, up)
+        for start in range(0, n, 3):
+            part = normality._table_np(lo, up, slice(start, start + 3))
+            assert part.tobytes() == np.ascontiguousarray(whole[:, start : start + 3]).tobytes()
+
+
 class TestCheck:
     def test_not_normal_exact(self, fraction_spec):
         report = check(fraction_spec, ScalarPolicy())

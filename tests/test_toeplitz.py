@@ -1,5 +1,6 @@
 """Spec construction, the dense matrix, the commutator oracle, JSON codecs."""
 
+import json
 import math
 import operator
 from fractions import Fraction
@@ -287,13 +288,21 @@ class TestExactOracle:
         assert_matches_reference(spec)
 
     def test_group_sum_flushes_before_int64_overflow(self):
+        # Terms h of a 2x2 matrix at +-(2^53 - 1); each group adds its
+        # conjugate transpose, so a group of 1023 terms would overflow int64.
         top = 2**53 - 1
         rng = np.random.default_rng(0)
         terms = [
-            np.concatenate(([top, -top], rng.choice([-top, top], size=4))) for _ in range(1100)
+            np.concatenate(([top, -top], rng.choice([-top, top], size=6))) for _ in range(1100)
         ]
-        want = [sum(int(t[i]) for t in terms) for i in range(6)]
-        got = toeplitz._group_sum(iter(terms))
+        d = np.array([top, 0, -top, top, -top, -top, top, 0])
+        mirror = [0, 1, 4, 5, 2, 3, 6, 7]  # (i, j) <-> (j, i) in re, im pairs
+        sign = [1, -1] * 4
+        want = [
+            int(d[i]) + sum(int(t[i]) + sign[i] * int(t[mirror[i]]) for t in terms)
+            for i in range(8)
+        ]
+        got = toeplitz._group_sum(iter(terms), 2, d)
         assert got == want and all(type(x) is int for x in got)
 
 
@@ -379,6 +388,129 @@ class TestJson:
     )
     def test_malformed_documents(self, doc):
         with pytest.raises(SpecFormatError):
+            spec_from_json(doc)
+
+
+def reference_spec_from_json(obj):
+    """The per-entry decoder: scalar_from_json on each entry, then from_diagonals."""
+    if not isinstance(obj, dict) or set(obj) != {"n", "diag"}:
+        raise SpecFormatError("spec must be an object with keys n and diag")
+    n, diag = obj["n"], obj["diag"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise SpecFormatError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(diag, list) or len(diag) != 2 * n + 1:
+        raise SpecFormatError(f"diag must list exactly {2 * n + 1} scalars")
+    entries = [scalar_from_json(e) for e in diag]
+    if len({isinstance(e, complex) for e in entries}) > 1:
+        raise SpecFormatError("diag mixes exact and floating entries")
+    if isinstance(entries[0], complex):
+        problem = toeplitz._float_range_problem(n, entries)
+        if problem:
+            raise SpecFormatError(problem)
+    return from_diagonals(entries)
+
+
+def decoded(decode, doc):
+    """(n, entries as exact types and float bits) or the error text."""
+    try:
+        spec = decode(doc)
+    except SpecFormatError as exc:
+        return "error", str(exc)
+    bits = [
+        (z.real.hex(), z.imag.hex()) if isinstance(z, complex) else (type(z), z)
+        for z in spec.diag
+    ]
+    return spec.n, [type(z) for z in spec.diag], bits
+
+
+fraction_strings = st.one_of(
+    st.fractions(max_denominator=50).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["0", "-0", "0.5", "-1.25e3", " 3/4 ", "+7", "1e-5"]),
+)
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 0, 5e-324, -2.5e-310]),
+)
+BAD_ENTRIES = [
+    {"re": 1.0},
+    {"im": "1"},
+    {"re": 1.0, "im": 0.0, "x": 0},
+    {"re": True, "im": 0.0},
+    {"re": "1", "im": False},
+    {"re": "1", "im": 0.0},
+    {"re": 0, "im": "1/2"},
+    {"re": float("nan"), "im": 0.0},
+    {"re": 0.0, "im": float("-inf")},
+    {"re": float("inf"), "im": 1},
+    {"re": 10**400, "im": 0},
+    {"re": 1, "im": -(2**1024)},
+    {"re": "1/0", "im": "0"},
+    {"re": "abc", "im": "0"},
+    {"re": None, "im": None},
+    {"re": [1], "im": [0]},
+    {"re": 1e200, "im": 0.0},
+    {"re": "1", "im": "0"},
+    {"re": 1.0, "im": 0.0},
+    None,
+    [1.0, 0.0],
+    "1/2",
+    3.5,
+    True,
+]
+
+
+@st.composite
+def spec_documents(draw):
+    """A valid float or exact document, with up to three entries replaced."""
+    n = draw(st.integers(1, 6))
+    parts = draw(st.sampled_from([fraction_strings, json_numbers]))
+    diag = [
+        {"re": draw(parts), "im": draw(parts)} for _ in range(2 * n + 1)
+    ]
+    if draw(st.booleans()):
+        imag_free = draw(st.booleans())
+        for e in diag:
+            e["im"] = "0" if isinstance(e["re"], str) else 0.0 if imag_free else e["im"]
+    for _ in range(draw(st.integers(0, 3))):
+        diag[draw(st.integers(0, 2 * n))] = draw(st.sampled_from(BAD_ENTRIES))
+    if draw(st.integers(0, 9)) == 0:
+        diag = diag[: draw(st.integers(0, 2 * n))] if draw(st.booleans()) else diag + [diag[0]]
+    return {"n": n, "diag": diag}
+
+
+class TestBulkDecode:
+    """spec_from_json against the per-entry decoder it replaced."""
+
+    @given(spec_documents())
+    @settings(max_examples=600, deadline=None)
+    def test_same_spec_or_same_error(self, doc):
+        assert decoded(spec_from_json, doc) == decoded(reference_spec_from_json, doc)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_generated_documents(self, kind, exact):
+        spec = generate(GenRequest(n=40, kind=kind, seed=3, exact=exact))
+        doc = json.loads(json.dumps(spec_to_json(spec)))
+        got = decoded(spec_from_json, doc)
+        assert got == decoded(reference_spec_from_json, doc)
+        assert got[1] == [type(z) for z in spec.diag]
+
+    def test_a0_is_outside_the_range_check(self):
+        big = {"re": 1e200, "im": 0.0}
+        small = {"re": 1.0, "im": 0.0}
+        spec = spec_from_json({"n": 1, "diag": [small, big, small]})
+        assert spec.a0 == 1e200 + 0j
+        with pytest.raises(SpecFormatError, match="too large"):
+            spec_from_json({"n": 1, "diag": [small, small, big]})
+
+    def test_first_bad_entry_names_the_error(self):
+        doc = {"n": 1, "diag": [{"re": "1", "im": "0"}, {"re": "1/0", "im": "0"}, None]}
+        with pytest.raises(SpecFormatError, match="bad fraction string"):
+            spec_from_json(doc)
+        doc["diag"][1] = {"re": 1.0, "im": 0.0}
+        with pytest.raises(SpecFormatError, match="keys re/im"):
             spec_from_json(doc)
 
 
