@@ -30,7 +30,7 @@ from .genlab import (
     generate,
     perturb,
 )
-from .normality import NormalityReport, check, fast_max_residual, residual
+from .normality import NormalityReport, check, fast_max_residual
 from .scalar import (
     GaussianRational,
     ScalarPolicy,
@@ -39,10 +39,8 @@ from .scalar import (
 )
 from .toeplitz import (
     ToeplitzSpec,
-    commutator,
     commutator_norm,
     from_diagonals,
-    materialize,
     spec_from_json,
     spec_to_json,
 )
@@ -69,16 +67,13 @@ __all__ = [
     "classify_complex",
     "classify_real",
     "classify_via_proof",
-    "commutator",
     "commutator_norm",
     "enumerate_and_verify",
     "fast_max_residual",
     "from_diagonals",
     "generate",
-    "materialize",
     "perturb",
     "rational_unit_circle",
-    "residual",
     "spec_from_json",
     "spec_to_json",
 ]

@@ -30,10 +30,9 @@ from .scalar import (
     GaussianRational,
     ScalarPolicy,
     abs_sq,
-    clear_denominators,
     rational_unit_circle,
 )
-from .toeplitz import ToeplitzSpec
+from .toeplitz import ToeplitzSpec, _grid_array, _stack_array
 
 __all__ = [
     "ANY",
@@ -145,45 +144,86 @@ def _pivot(v) -> int:
     return mags.index(max(mags))
 
 
-def _ratio_pivot(nr, ni, dr, di):
-    """The exact ratio test on Gaussian integers N_k, D_k of one scale.
+# Pivots of _ratio_pivots that are no index: no unit-modulus ratio fits,
+# or both vectors vanish and every one does.
+_NO_FIT, _ANY_FIT = -1, -2
 
-    Returns :data:`ANY` when both vectors vanish, None when no unit-modulus
-    c fits N_k = c * D_k, else the first p with D_p != 0: c = N_p / D_p is
-    unit-modulus iff |N_p|^2 = |D_p|^2 and fits iff N_k * D_p = N_p * D_k
-    for every k.
+
+def _ratio_pivots(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The exact ratio test, one pivot per row of the stacked (B, N) arrays.
+
+    A unit-modulus c with num_k = c * den_k for every k exists iff, at the
+    first p with den_p != 0, |num_p|^2 = |den_p|^2 (c = num_p / den_p is
+    unit-modulus) and num_k * den_p = num_p * den_k for every k (c fits).
+    Returns p for such rows, _ANY_FIT where both rows vanish, else _NO_FIT.
     """
-    p = next((k for k, (x, y) in enumerate(zip(dr, di)) if x or y), None)
-    if p is None:
-        return ANY if not any(nr) and not any(ni) else None
-    a, b, c, d = nr[p], ni[p], dr[p], di[p]
-    if a * a + b * b != c * c + d * d:
-        return None
-    for x, y, u, v in zip(nr, ni, dr, di):
-        if x * c - y * d != a * u - b * v or x * d + y * c != a * v + b * u:
-            return None
-    return p
+    nonzero = den != 0
+    p = nonzero.argmax(axis=1)
+    rows = np.arange(len(p))
+    a, b = num[rows, p], den[rows, p]
+    fits = (a * a.conj() == b * b.conj()) & (num * b[:, None] == a[:, None] * den).all(axis=1)
+    return np.where(
+        nonzero.any(axis=1),
+        np.where(fits, p, _NO_FIT),
+        np.where((num != 0).any(axis=1), _NO_FIT, _ANY_FIT),
+    )
+
+
+def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> tuple:
+    """The exact direct route on stacked off-diagonal halves of shape (B, N).
+
+    ``up`` holds a_-1..a_-N and ``lo`` a_1..a_N, one spec per row, of one
+    scale.  Returns (degenerate, tests).  When ``real``, tests is (B, 4)
+    bools in _LABEL_ORDER: a_-k = a_k, a_-k = -a_k, a_-k = a_{N+1-k} and
+    a_-k = -a_{N+1-k} for every k.  Otherwise it is (B, 2) pivots of
+    :func:`_ratio_pivots`: type I (up against conj(lo)) and type II (up
+    against lo reversed).  degenerate flags the rows that are zero
+    everywhere: the rows where both of the first two labels hold, or where
+    the type I test finds both its vectors zero.
+
+    The arrays are complex128 holding Gaussian integers whose parts are
+    below 2^k in modulus, k = :func:`toepnorm.toeplitz._limb_bits` <= 25,
+    or object arrays of exact values.  On complex128 every test is exact:
+    a product of two parts is below 2^50 in modulus, and each part of a
+    complex product, and each |z|^2, is a sum of two such products, below
+    2^51.  float64 holds every integer below 2^53, and a sum or product
+    whose exact result is such an integer rounds to itself, so every
+    multiplication, negation and comparison is the integer one.  On object
+    arrays the same expressions run in exact Python arithmetic.
+    """
+    if real:
+        rlo = lo[:, ::-1]
+        tests = np.stack([up == lo, up == -lo, up == rlo, up == -rlo], axis=1).all(axis=2)
+        return tests[:, 0] & tests[:, 1], tests
+    # Row 2i tests spec i for type I, row 2i + 1 for type II.
+    b, n = lo.shape
+    den = np.stack([lo.conj(), lo[:, ::-1]], axis=1).reshape(2 * b, n)
+    tests = _ratio_pivots(np.repeat(up, 2, axis=0), den).reshape(b, 2)
+    return tests[:, 0] == _ANY_FIT, tests
 
 
 def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     """Unit-modulus c with numer[k] = c * denom[k] for all k, if one exists.
 
     Returns the sentinel :data:`ANY` when both vectors are entirely zero,
-    and None when no unit-modulus ratio fits.  Exact vectors are cleared to
-    Gaussian integers over one common denominator and decided there by
-    :func:`_ratio_pivot`; c = numer[p] / denom[p] is formed only for the
-    answer.  Float or complex vectors take c at the :func:`_pivot` entry of
-    denom and verify it everywhere under the policy's tolerance, including
-    the zero-denominator indices (which force numer zero there).
+    and None when no unit-modulus ratio fits.  Exact vectors are decided by
+    :func:`_ratio_pivots` on one row (cleared to Gaussian integers by
+    :func:`toepnorm.toeplitz._grid_array`); c = numer[p] / denom[p] is
+    formed only for the answer.  Float or complex vectors take c at the
+    :func:`_pivot` entry of denom and verify it everywhere under the
+    policy's tolerance, including the zero-denominator indices (which force
+    numer zero there).
     """
     numer, denom = tuple(numer), tuple(denom)
     if len(numer) != len(denom) or not numer:
         raise ValueError("vectors must have equal, nonzero length")
     if not isinstance(denom[0], (float, complex)):
-        re, im, _ = clear_denominators(numer + denom)
         k = len(numer)
-        p = _ratio_pivot(re[:k], im[:k], re[k:], im[k:])
-        return p if p is None or p is ANY else numer[p] / denom[p]
+        d = _grid_array(numer + denom, k)
+        p = int(_ratio_pivots(d[None, :k], d[None, k:])[0])
+        if p < 0:
+            return ANY if p == _ANY_FIT else None
+        return numer[p] / denom[p]
     scale = _vector_scale(numer, denom)
     pivot = _pivot(denom)
     if policy.is_zero(denom[pivot], scale):
@@ -199,6 +239,16 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     return c
 
 
+def _spec_tests(spec: ToeplitzSpec, real: bool):
+    """The tests of :func:`_direct_tests` for one exact spec, as a list.
+
+    They run on ``spec.cleared`` within one limb, else on the spec's values.
+    """
+    n, (re, im, _) = spec.n, spec.cleared
+    d = _stack_array(spec.diag, re, im, n)
+    return _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)[1][0].tolist()
+
+
 def _exact_witnesses(spec: ToeplitzSpec) -> list:
     """:func:`extract_unit_ratio` of both conditions, on ``spec.cleared``.
 
@@ -208,13 +258,15 @@ def _exact_witnesses(spec: ToeplitzSpec) -> list:
     n, (re, im, _) = spec.n, spec.cleared
     ur, ui, lr, li = re[n - 1 :: -1], im[n - 1 :: -1], re[n + 1 :], im[n + 1 :]
     out = []
-    for dr, di in ((lr, tuple(-y for y in li)), (lr[::-1], li[::-1])):
-        c = p = _ratio_pivot(ur, ui, dr, di)
-        if p is not None and p is not ANY:
-            den = dr[p] * dr[p] + di[p] * di[p]
-            c = Fraction(ur[p] * dr[p] + ui[p] * di[p], den)
-            if not spec.is_real:
-                c = GaussianRational._of(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
+    dens = ((lr, [-y for y in li]), (lr[::-1], li[::-1]))
+    for p, (dr, di) in zip(_spec_tests(spec, False), dens):
+        if p < 0:
+            out.append(ANY if p == _ANY_FIT else None)
+            continue
+        den = dr[p] * dr[p] + di[p] * di[p]
+        c = Fraction(ur[p] * dr[p] + ui[p] * di[p], den)
+        if not spec.is_real:
+            c = GaussianRational._of(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
         out.append(c)
     return out
 
@@ -436,11 +488,7 @@ def classify_real(
     rlo = tuple(reversed(lo))
     conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))  # _LABEL_ORDER
     if spec.is_exact:
-        # a_{-k} = +-a_k or +-a_{N+1-k}, compared on the cleared integers.
-        n, re = spec.n, spec.cleared[0]
-        ur, lr = re[n - 1 :: -1], re[n + 1 :]
-        neg = tuple(-x for x in lr)
-        holds = (ur == lr, ur == neg, ur == lr[::-1], ur == neg[::-1])
+        holds = _spec_tests(spec, True)
     else:
         scale = _vector_scale(up, lo)
         holds = [_condition_holds(up, src, f, policy, scale) for src, f in conditions]

@@ -23,21 +23,21 @@ from numbers import Rational
 import numpy as np
 
 from .classify import (
+    _LABEL_ORDER,
     TheoremViolation,
     Verdict,
+    _direct_tests,
     classify_complex,
     classify_real,
 )
 from .normality import NormalityReport, _table_np, check
-from .scalar import GaussianRational, ScalarPolicy, clear_denominators, rational_unit_circle
+from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
 from .toeplitz import (
     ToeplitzSpec,
-    _as_fraction,
-    _as_gaussian,
     _comm,
     _dense_np,
     _float_range_problem,
-    _limb_bits,
+    _grid_array,
     from_diagonals,
     spec_to_json,
 )
@@ -233,23 +233,6 @@ _NORMAL = NormalityReport(
 )
 
 
-def _grid_array(values: tuple, n: int) -> np.ndarray:
-    """The grid as one array the stacked verdicts test exactly.
-
-    complex128 holding the cleared Gaussian integers when each part is
-    below 2^k, k the oracle's one-limb width (:func:`toeplitz._limb_bits`):
-    every residual is a sum of four products of such parts and every
-    commutator entry meets the oracle's 2^53 bound, so all are integers
-    float64 holds exactly.  Otherwise an object array of the exact values,
-    on which the same expressions run in exact Python arithmetic.
-    """
-    re, im, _ = clear_denominators(values)
-    if max(map(abs, re + im)) < 1 << _limb_bits(n):
-        return np.fromiter(map(complex, re, im), complex, len(values))
-    canon = _as_fraction if all(v.imag == 0 for v in values) else _as_gaussian
-    return np.fromiter(map(canon, values), object, len(values))
-
-
 def _stacked_verdicts(d: np.ndarray, n: int) -> tuple:
     """Scan and oracle normality verdicts for a stack of diagonals.
 
@@ -266,11 +249,18 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     """Check and classify every assignment of the 2N off-diagonal values.
 
     Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
-    a_1..a_n) in blocks of stacked arrays, where the residual scan and the
-    dense oracle each give every spec a verdict.  Only the specs the scan
-    finds normal, or on which the two verdicts disagree, are built and
-    classified (real labels when ``real_only``, otherwise type witnesses).
-    Any theorem violation, or any scan/oracle disagreement, lands in
+    a_1..a_n) in blocks of stacked arrays of the grid's exact values
+    (:func:`toepnorm.toeplitz._grid_array`), where the residual scan and
+    the dense oracle each give every spec a verdict.  The specs both find
+    normal are gathered, at least a block's worth at a time, for the
+    direct route's stacked kernel (:func:`toepnorm.classify._direct_tests`),
+    which finds each degenerate or gives its real labels when
+    ``real_only``, otherwise its type I and type II pivots.  They are
+    counted from its output and never built.  After the walk, two kinds of
+    spec are built and go through the per-spec check and classifier, in
+    row-major order: those on which the two verdicts disagree, and normal
+    non-degenerate ones the kernel finds no label or witness for.  Any
+    theorem violation, or any scan/oracle disagreement, lands in
     ``violations``; both are expected to stay empty.
     """
     values = tuple(req.value_set)
@@ -289,71 +279,76 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
         )
     policy = ScalarPolicy()
     classify = classify_real if req.real_only else classify_complex
+    keys = [label.value for label in _LABEL_ORDER] if req.real_only else ["type_I", "type_II"]
     normal = classified = degenerate = 0
+    counts = np.zeros(len(keys), np.int64)
     violations = []
-    histogram = {}
-
-    def bump(key):
-        histogram[key] = histogram.get(key, 0) + 1
-
-    # Each half of the off-diagonal, a_-n..a_-1 or a_1..a_n, is put once in
-    # the canonical forms from_diagonals would give it: Fractions when the
-    # whole spec is real, GaussianRationals else.
     halves = list(itertools.product(values, repeat=n))
-    real = [all(v.imag == 0 for v in h) for h in halves]
-    fracs = [tuple(map(_as_fraction, h)) if r else None for h, r in zip(halves, real)]
-    gauss = None if all(real) else [tuple(map(_as_gaussian, h)) for h in halves]
-    zero_f, zero_g = (Fraction(0),), (GaussianRational(0),)
     grid = _grid_array(values, n)
     half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
+    # Normal rows wait in ``held`` until a block's worth is ready for the
+    # direct-route kernel.  ``disagree`` and ``undecided`` collect the row
+    # numbers that take the per-spec path after the walk.
+    held, held_at, held_count = [], [], 0
+    disagree, undecided = set(), []
     for start in range(0, total, _BLOCK):
         rows, cols = np.divmod(np.arange(start, min(start + _BLOCK, total)), len(halves))
         d = np.zeros((len(rows), 2 * n + 1), grid.dtype)
         d[:, :n] = half_arr[rows]
         d[:, n + 1 :] = half_arr[cols]
         scan, oracle = _stacked_verdicts(d, n)
-        for k in np.flatnonzero(scan | oracle).tolist():
-            i, j = divmod(start + k, len(halves))
-            if real[i] and real[j]:
-                diag = fracs[i] + zero_f + fracs[j]
-            else:
-                diag = gauss[i] + zero_g + gauss[j]
-            spec = ToeplitzSpec(n, diag)
-            agree = scan[k] == oracle[k]
-            report = _NORMAL if agree else check(spec, policy)
-            try:
-                res = classify(spec, policy, report)
-            except TheoremViolation as exc:
-                violations.append({"spec": spec_to_json(spec), "error": str(exc)})
-                continue
-            if not agree:
-                violations.append(
-                    {
-                        "spec": spec_to_json(spec),
-                        "error": "element-wise and dense-oracle verdicts disagree",
-                    }
-                )
-                continue
-            normal += 1
-            if res.verdict is Verdict.DEGENERATE:
-                degenerate += 1
-            elif req.real_only:
-                classified += 1
-                for label in res.labels:
-                    bump(label.value)
-            else:
-                classified += 1
-                if res.type_I is not None:
-                    bump("type_I")
-                if res.type_II is not None:
-                    bump("type_II")
+        disagree.update((start + np.flatnonzero(scan != oracle)).tolist())
+        both = np.flatnonzero(scan & oracle)
+        held.append(d[both])
+        held_at.append(start + both)
+        held_count += len(both)
+        if held_count < _BLOCK and start + _BLOCK < total:
+            continue
+        stack, at = np.concatenate(held), np.concatenate(held_at)
+        held, held_at, held_count = [], [], 0
+        degen, tests = _direct_tests(stack[:, n - 1 :: -1], stack[:, n + 1 :], req.real_only)
+        holds = (tests if req.real_only else tests >= 0) & ~degen[:, None]
+        found = holds.any(axis=1)
+        decided = degen | found
+        normal += int(decided.sum())
+        degenerate += int(degen.sum())
+        classified += int(found.sum())
+        counts += holds.sum(axis=0)
+        undecided += at[~decided].tolist()
+    for k in sorted(disagree.union(undecided)):
+        i, j = divmod(k, len(halves))
+        spec = from_diagonals(halves[i] + (0,) + halves[j])
+        agree = k not in disagree
+        report = _NORMAL if agree else check(spec, policy)
+        try:
+            res = classify(spec, policy, report)
+        except TheoremViolation as exc:
+            violations.append({"spec": spec_to_json(spec), "error": str(exc)})
+            continue
+        if not agree:
+            violations.append(
+                {
+                    "spec": spec_to_json(spec),
+                    "error": "element-wise and dense-oracle verdicts disagree",
+                }
+            )
+            continue
+        normal += 1
+        if res.verdict is Verdict.DEGENERATE:
+            degenerate += 1
+            continue
+        classified += 1
+        if req.real_only:
+            counts += [label in res.labels for label in _LABEL_ORDER]
+        else:
+            counts += [res.type_I is not None, res.type_II is not None]
     return EnumReport(
         total=total,
         normal=normal,
         classified=classified,
         degenerate=degenerate,
         violations=tuple(violations),
-        label_histogram=histogram,
+        label_histogram={key: count for key, count in zip(keys, counts.tolist()) if count},
     )
 
 

@@ -31,27 +31,8 @@ __all__ = [
     "fast_max_residual",
     "is_normal",
     "report_to_json",
-    "residual",
     "residual_scale",
 ]
-
-
-def residual(spec: ToeplitzSpec, m: int, n: int):
-    """Single residual r(m, n); indices must satisfy 1 <= m, n <= N.
-
-    Written straight from the formula; it is the reference the scan is
-    tested against.
-    """
-    N = spec.n
-    if not (1 <= m <= N and 1 <= n <= N):
-        raise ValueError(f"residual indices must lie in 1..{N}, got ({m}, {n})")
-    e = spec.entry
-    return (
-        e(m) * e(n).conjugate()
-        - e(-m).conjugate() * e(-n)
-        + e(N + 1 - m).conjugate() * e(N + 1 - n)
-        - e(-(N + 1 - m)) * e(-(N + 1 - n)).conjugate()
-    )
 
 
 def residual_scale(spec: ToeplitzSpec) -> float:

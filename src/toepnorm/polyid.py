@@ -34,7 +34,6 @@ __all__ = [
     "identity16_holds",
     "identity8_coefficient_check",
     "identity8_residual",
-    "identity8_residual_at_points",
     "identity9_residual",
     "is_zero_poly",
     "poly_mul",
@@ -150,19 +149,6 @@ def identity8_residual(spec: ToeplitzSpec, x: float, y: float) -> complex:
         sx * sy.conjugate()
         - tx.conjugate() * ty
         + (sx.conjugate() * sy - tx * ty.conjugate()) * phase
-    )
-
-
-def identity8_residual_at_points(spec: ToeplitzSpec, w, z):
-    """Same residual at unit-circle scalars; exact for exact w, z."""
-    s, t = trig_coeffs(spec)
-    sw, sz = eval_at_point(s, w), eval_at_point(s, z)
-    tw, tz = eval_at_point(t, w), eval_at_point(t, z)
-    phase = (w * z.conjugate()) ** (spec.n + 1)
-    return (
-        sw * sz.conjugate()
-        - tw.conjugate() * tz
-        + (sw.conjugate() * sz - tw * tz.conjugate()) * phase
     )
 
 

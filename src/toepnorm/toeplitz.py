@@ -2,7 +2,7 @@
 
 A matrix of order N+1 is described by its 2N+1 diagonal values a_k,
 k = -N..N, with M[i][j] = a_{i-j}.  The principal diagonal a_0 is stored
-and surfaces in :func:`materialize`, but every analysis treats it as zero:
+and written back by :func:`spec_to_json`, but every analysis treats it as zero:
 shifting by a multiple of the identity changes neither the commutator
 T*T^H - T^H*T nor any structural property, so a_0 is forced to zero before
 the dense products are formed.
@@ -30,10 +30,8 @@ from .scalar import (
 
 __all__ = [
     "ToeplitzSpec",
-    "commutator",
     "commutator_norm",
     "from_diagonals",
-    "materialize",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -58,12 +56,6 @@ class ToeplitzSpec:
             raise ValueError("matrix order must be at least 2 (n >= 1)")
         if len(self.diag) != 2 * self.n + 1:
             raise ValueError("diag must hold exactly 2n+1 entries")
-
-    def entry(self, k):
-        """The diagonal value a_k, -n <= k <= n."""
-        if not -self.n <= k <= self.n:
-            raise ValueError(f"diagonal index {k} out of range for n={self.n}")
-        return self.diag[k + self.n]
 
     @property
     def dim(self) -> int:
@@ -168,10 +160,28 @@ def _as_gaussian(e) -> GaussianRational:
     return e if isinstance(e, GaussianRational) else GaussianRational(e)
 
 
-def materialize(spec: ToeplitzSpec) -> list:
-    """Dense (N+1)x(N+1) matrix with M[i][j] = a_{i-j} (stored a_0 included)."""
-    n = spec.n
-    return [[spec.diag[i - j + n] for j in range(spec.dim)] for i in range(spec.dim)]
+def _stack_array(values, re: list, im: list, n: int) -> np.ndarray:
+    """Exact values as one array the stacked kernels test exactly.
+
+    ``re`` and ``im`` are the values cleared to Gaussian integers over one
+    common denominator.  complex128 holding those integers when each part
+    is below 2^k, k the oracle's one-limb width (:func:`_limb_bits`):
+    every residual is a sum of four products of such parts, every
+    commutator entry meets the oracle's 2^53 bound, and every direct-route
+    test is exact (see :func:`toepnorm.classify._direct_tests`).
+    Otherwise an object array of the exact values, on which the same
+    expressions run in exact Python arithmetic.
+    """
+    if max(map(abs, re + im)) < 1 << _limb_bits(n):
+        return np.fromiter(map(complex, re, im), complex, len(re))
+    canon = _as_fraction if all(v.imag == 0 for v in values) else _as_gaussian
+    return np.fromiter(map(canon, values), object, len(values))
+
+
+def _grid_array(values: tuple, n: int) -> np.ndarray:
+    """:func:`_stack_array` of exact values, cleared here."""
+    re, im, _ = clear_denominators(values)
+    return _stack_array(values, re, im, n)
 
 
 def _dense_np(d: np.ndarray, n: int) -> np.ndarray:
@@ -289,38 +299,14 @@ def _with_mirror(acc, dim: int, d) -> np.ndarray:
     return ((x + x.transpose(1, 0, 2) * _CONJ).ravel() + d).astype(object)
 
 
-def _commutator_exact(spec: ToeplitzSpec) -> list:
-    flat, den = _commutator_int(spec)
-    width = 2 * spec.dim
-    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
-    if spec.is_real:
-        return [[Fraction(r, den) for r in row[::2]] for row in rows]
-    return [
-        [
-            GaussianRational._of(Fraction(r, den), Fraction(i, den))
-            for r, i in zip(row[::2], row[1::2])
-        ]
-        for row in rows
-    ]
-
-
-def commutator(spec: ToeplitzSpec) -> list:
-    """Dense T*T^H - T^H*T with a_0 forced to zero.
+def commutator_norm(spec: ToeplitzSpec):
+    """Frobenius norm of the dense T*T^H - T^H*T with a_0 forced to zero.
 
     This is the ground-truth normality oracle: it never shares code with the
     element-wise residual check in :mod:`toepnorm.normality`, beyond the
-    cleared integers of an exact spec.
-    """
-    if spec.is_exact:
-        return _commutator_exact(spec)
-    return _commutator_np(spec).tolist()
-
-
-def commutator_norm(spec: ToeplitzSpec):
-    """Frobenius norm of :func:`commutator`, as a float.
-
-    An exact spec gets the exact rational norm *squared* instead, since the
-    square root generally leaves the field.
+    cleared integers of an exact spec.  It returns a float; an exact spec
+    gets the exact rational norm *squared* instead, since the square root
+    generally leaves the field.
     """
     if spec.is_exact:
         flat, den = _commutator_int(spec)

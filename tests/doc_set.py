@@ -11,8 +11,8 @@ unconstrained specs, seeds 0-1, at N in {300, 1000}, where the residual scan
 runs in several row blocks, the last one short; all five commands on three hand-built exact specs whose cleared integers need
 two or three limbs in the dense oracle; ``check`` and ``classify --route
 direct`` on a hand-built N = 8 exact spec with 400-digit integers (59 limbs);
-and the censuses ``enumerate --n 1|2 --values gauss1``, ``enumerate --n 2
---values int2`` and ``enumerate --n 2|3 --values int2 --real``: 1087
+and the censuses ``enumerate --n 1|2|3 --values gauss1``, ``enumerate --n 2
+--values int2`` and ``enumerate --n 2|3|4 --values int2 --real``: 1089
 documents.  Float documents are included, and their bits depend on the BLAS
 thread count, so the script pins BLAS to one thread before it imports
 toepnorm; still compare runs made on one machine.
@@ -111,6 +111,8 @@ CENSUSES = (
     ["enumerate", "--n", "3", "--values", "int2", "--real"],
     ["enumerate", "--n", "2", "--values", "gauss1"],
     ["enumerate", "--n", "2", "--values", "int2"],
+    ["enumerate", "--n", "3", "--values", "gauss1"],
+    ["enumerate", "--n", "4", "--values", "int2", "--real"],
 )
 
 

@@ -29,10 +29,10 @@ from toepnorm.polyid import (
     identity14_check,
     identity16_holds,
     identity8_residual,
-    identity8_residual_at_points,
     identity9_residual,
     trig_coeffs,
 )
+from references import identity8_residual_at_points
 from toepnorm.scalar import ScalarPolicy, rational_unit_circle
 from toepnorm.toeplitz import commutator_norm, from_diagonals
 from toepnorm import cli

@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from toepnorm import classify
+from toepnorm import classify, toeplitz
 from toepnorm.classify import (
     ANY,
     ProofTrace,
@@ -29,6 +31,7 @@ from toepnorm.scalar import (
     GaussianRational,
     ScalarPolicy,
     abs_sq,
+    clear_denominators,
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
@@ -184,6 +187,137 @@ class TestExactRatioOnIntegers:
             assert res.labels == expected and kind.value in {l.value for l in expected}
         else:
             assert res.verdict is Verdict.DEGENERATE and not any(spec.lower)
+
+
+def reference_ratio_pivot(nr, ni, dr, di):
+    """The former scalar ratio test on Gaussian integers N_k, D_k of one scale.
+
+    Returns :data:`ANY` when both vectors vanish, None when no unit-modulus
+    c fits N_k = c * D_k, else the first p with D_p != 0: c = N_p / D_p is
+    unit-modulus iff |N_p|^2 = |D_p|^2 and fits iff N_k * D_p = N_p * D_k
+    for every k.
+    """
+    p = next((k for k, (x, y) in enumerate(zip(dr, di)) if x or y), None)
+    if p is None:
+        return ANY if not any(nr) and not any(ni) else None
+    a, b, c, d = nr[p], ni[p], dr[p], di[p]
+    if a * a + b * b != c * c + d * d:
+        return None
+    for x, y, u, v in zip(nr, ni, dr, di):
+        if x * c - y * d != a * u - b * v or x * d + y * c != a * v + b * u:
+            return None
+    return p
+
+
+def reference_real_labels(ur, lr):
+    """The former real labels: a_{-k} = +-a_k or +-a_{N+1-k}, on integer tuples."""
+    neg = tuple(-x for x in lr)
+    return [ur == lr, ur == neg, ur == lr[::-1], ur == neg[::-1]]
+
+
+def _pivot_of(witness):
+    return {None: classify._NO_FIT, ANY: classify._ANY_FIT}.get(witness, witness)
+
+
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _kernel_row(rng, n, top, real):
+    """(up, lo) as Gaussian-integer pairs: one of the shapes the kernel tells apart."""
+
+    def part():
+        return rng.choice((0, 1, -1, top, -top))
+
+    lo = [(part(), 0 if real else part()) for _ in range(n)]
+    shape = rng.choice(("zero", "lead", "typeI", "typeII", "scaled", "bumped", "free"))
+    if shape == "zero":
+        lo = [(0, 0)] * n
+    elif shape == "lead":  # leading zeros move the pivot
+        lo = [(0, 0)] * rng.randint(0, n) + lo
+        lo = lo[-n:] if rng.random() < 0.5 else lo[:n]
+    ur, ui = rng.choice(_UNITS[:2] if real else _UNITS)
+    src = lo[::-1] if shape == "typeII" else [(x, -y) for x, y in lo]
+    if real and shape != "typeII":
+        src = lo if rng.random() < 0.5 else lo[::-1]
+    up = [(ur * x - ui * y, ur * y + ui * x) for x, y in src]
+    if shape == "scaled":
+        up = [(2 * x, 2 * y) for x, y in up]
+    elif shape == "bumped":
+        k = rng.randrange(n)
+        up[k] = (up[k][0] + 1, up[k][1])
+    elif shape == "free" or shape == "zero" and rng.random() < 0.5:
+        up = [(part(), 0 if real else part()) for _ in range(n)]
+    return up, lo
+
+
+@st.composite
+def kernel_stacks(draw):
+    """Stacks of B in 1..300 rows at N in 1..16, with parts at a chosen size.
+
+    The sizes are small, 2^k - 1 and 2^k for the one-limb width k (the
+    largest parts complex128 may hold, and the smallest it may not), and up
+    to 2^90, where the kernel runs on exact values.
+    """
+    n = draw(st.integers(1, 16))
+    b = draw(st.integers(1, 300))
+    real = draw(st.booleans())
+    k = toeplitz._limb_bits(n)
+    top = draw(st.sampled_from([2, 2**k - 1, 2**k, 2**90 - 1]))
+    den = draw(st.sampled_from([1, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [_kernel_row(rng, n, top, real) for _ in range(b)]
+    return n, real, top, den, rows
+
+
+class TestStackedDirectKernel:
+    """classify._direct_tests against the former scalar tests, row by row."""
+
+    @given(kernel_stacks())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scalar_references(self, case):
+        n, real, _, den, rows = case
+        flat = [GaussianRational(Fraction(x, den), Fraction(y, den)) for up, lo in rows
+                for x, y in up + lo]
+        arr = toeplitz._grid_array(tuple(flat), n)
+        re, im, _ = clear_denominators(flat)
+        big = max(map(abs, re + im))
+        assert arr.dtype == (complex if big < 2 ** toeplitz._limb_bits(n) else object)
+        arr = arr.reshape(len(rows), 2 * n)
+        degenerate, tests = classify._direct_tests(arr[:, :n], arr[:, n:], real)
+        assert tests.shape == (len(rows), 4 if real else 2)
+        for (up, lo), degen, got in zip(rows, degenerate.tolist(), tests.tolist()):
+            (ur, ui), (lr, li) = zip(*up), zip(*lo)
+            assert degen == (not any(ur + ui + lr + li))
+            if real:
+                assert got == reference_real_labels(ur, lr)
+            else:
+                want = [
+                    reference_ratio_pivot(ur, ui, lr, tuple(-y for y in li)),
+                    reference_ratio_pivot(ur, ui, lr[::-1], li[::-1]),
+                ]
+                assert got == [_pivot_of(w) for w in want]
+
+    def test_sentinels_and_first_pivot(self):
+        zero, one = 0j, 1 + 0j
+        up = np.array([[zero, zero], [one, zero], [zero, one], [2 * one, 2 * one]])
+        lo = np.array([[zero, zero], [zero, zero], [zero, one], [one, one]])
+        degenerate, tests = classify._direct_tests(up, lo, False)
+        assert degenerate.tolist() == [True, False, False, False]
+        assert tests.tolist() == [
+            [classify._ANY_FIT, classify._ANY_FIT],
+            [classify._NO_FIT, classify._NO_FIT],
+            [1, classify._NO_FIT],
+            [classify._NO_FIT, classify._NO_FIT],
+        ]
+        # a_-k = a_k at N = 3 with a_1 = 0: the pivot is the first nonzero a_k.
+        row = np.array([[zero, one, one]])
+        assert classify._direct_tests(row, row, False)[1].tolist() == [[1, classify._NO_FIT]]
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3), complex)
+        for real in (False, True):
+            degenerate, tests = classify._direct_tests(empty, empty, real)
+            assert degenerate.shape == (0,) and len(tests) == 0
 
 
 class TestDirectRoute:

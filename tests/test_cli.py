@@ -409,9 +409,10 @@ class TestOneClearedFormPerSpec:
         [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
     )
     def test_enumerate_once_per_spec(self, monkeypatch, capsys, clear_calls, argv, specs):
-        """One clearing for the grid, then one per spec handed to a classifier.
+        """One clearing for the grid, and none for the specs.
 
-        The degenerate zero spec is the one classified spec never cleared.
+        Every spec's scan and oracle agree, so the stacked kernel decides
+        each normal one and none reaches a per-spec classifier.
         """
         classified = []
         for name in ("classify_real", "classify_complex"):
@@ -423,10 +424,9 @@ class TestOneClearedFormPerSpec:
             monkeypatch.setattr(genlab, name, recording)
         code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
         assert code == 0 and doc["total"] == specs
-        assert doc["normal"] == len(classified) < specs
-        assert doc["degenerate"] == 1
-        assert len(clear_calls[0]) == {81: 9, 25: 5}[specs]  # the grid
-        assert len(clear_calls) == 1 + len(classified) - 1
+        assert 0 < doc["normal"] < specs and doc["degenerate"] == 1
+        assert classified == []
+        assert [len(values) for values in clear_calls] == [{81: 9, 25: 5}[specs]]  # the grid
 
 
 class TestGenerate:

@@ -21,7 +21,7 @@ from toepnorm.genlab import (
     generate,
     perturb,
 )
-from toepnorm.normality import check, fast_max_residual, report_to_json
+from toepnorm.normality import check, fast_max_residual
 from toepnorm.classify import TheoremViolation, Verdict
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
 from toepnorm.toeplitz import (
@@ -212,25 +212,79 @@ class TestEnumerate:
         [(1, GAUSS1, False), (1, INT2, True), (2, INT2, True), (1, MIXED, False)],
     )
     def test_census_specs_are_from_diagonals(self, monkeypatch, n, values, real_only):
-        """The classifiers get exactly the normal specs, as from_diagonals builds them."""
+        """The kernel decides each normal spec as the per-spec classifier does.
+
+        Its rows are the normal specs in row-major order, as the grid array
+        holds them, and each row's output matches classify_real or
+        classify_complex on from_diagonals of that combination.
+        """
         seen = []
+
+        def recording(up, lo, real, _original=genlab._direct_tests):
+            out = _original(up, lo, real)
+            seen.extend(zip(up.tolist(), lo.tolist(), *(x.tolist() for x in out)))
+            return out
+
+        monkeypatch.setattr(genlab, "_direct_tests", recording)
+        enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
+        grid = genlab._grid_array(values, n)
+        wants = []
+        for combo in itertools.product(range(len(values)), repeat=2 * n):
+            diag = [values[i] for i in combo]
+            spec = from_diagonals(diag[:n] + [0] + diag[n:])
+            report = check(spec, ScalarPolicy())
+            if report.is_normal_fast:
+                row = grid[list(combo)]
+                wants.append((row[n - 1 :: -1].tolist(), row[n:].tolist(), spec, report))
+        assert len(seen) == len(wants)
+        for (up, lo, degenerate, tests), (want_up, want_lo, spec, report) in zip(seen, wants):
+            assert up == want_up and lo == want_lo
+            if real_only:
+                res = classify.classify_real(spec, ScalarPolicy(), report)
+                labels = {label for label, ok in zip(classify._LABEL_ORDER, tests) if ok}
+                assert degenerate or labels == res.labels
+            else:
+                res = classify.classify_complex(spec, ScalarPolicy(), report)
+                assert [p >= 0 for p in tests] == [res.type_I is not None, res.type_II is not None]
+            assert degenerate == (res.verdict is Verdict.DEGENERATE)
+
+    def test_agreeing_specs_are_never_built(self, monkeypatch):
+        """Only a spec whose verdicts disagree is built and classified per spec."""
+        built, classified = [], []
+        original_init = toeplitz.ToeplitzSpec.__post_init__
+
+        def counting_init(spec):
+            built.append(spec)
+            original_init(spec)
+
+        monkeypatch.setattr(toeplitz.ToeplitzSpec, "__post_init__", counting_init)
         for name in ("classify_real", "classify_complex"):
 
             def recording(spec, policy, report, _original=getattr(genlab, name)):
-                seen.append((spec, report))
+                classified.append(spec)
                 return _original(spec, policy, report)
 
             monkeypatch.setattr(genlab, name, recording)
-        enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
-        combos = itertools.product(values, repeat=2 * n)
-        wants = [from_diagonals(c[:n] + (0,) + c[n:]) for c in combos]
-        wants = [w for w in wants if check(w, ScalarPolicy()).is_normal_fast]
-        assert len(seen) == len(wants)
-        for (spec, report), want in zip(seen, wants):
-            assert spec.n == want.n and spec.diag == want.diag
-            assert [type(z) for z in spec.diag] == [type(z) for z in want.diag]
-            assert spec.cleared == want.cleared
-            assert report_to_json(report) == report_to_json(check(want, ScalarPolicy()))
+        for req in (
+            EnumRequest(n=2, value_set=INT2, real_only=True),
+            EnumRequest(n=1, value_set=GAUSS1),
+        ):
+            report = enumerate_and_verify(req)
+            assert report.normal > 0 and report.violations == ()
+        assert built == [] and classified == []
+        # (1, 2, 0, 2, 1) is symmetric; the oracle is made to see a nonzero
+        # commutator entry for it.
+        tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+        original_comm = genlab._comm
+
+        def comm(a, b):
+            return original_comm(a, b) + (a == tampered).all(axis=(-2, -1))[..., None, None]
+
+        monkeypatch.setattr(genlab, "_comm", comm)
+        report = enumerate_and_verify(EnumRequest(n=2, value_set=INT2, real_only=True))
+        assert len(report.violations) == 1
+        assert [spec.diag for spec in built] == [from_diagonals([1, 2, 0, 2, 1]).diag]
+        assert [spec.diag for spec in classified] == [from_diagonals([1, 2, 0, 2, 1]).diag]
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
@@ -363,11 +417,12 @@ class TestStackedCensus:
         assert genlab._grid_array((GaussianRational(1, top + 1),), n).dtype == object
 
     def test_forced_disagreement_and_violation_in_order(self, monkeypatch):
-        """A tampered oracle and a tampered classifier reach both censuses alike."""
+        """A tampered oracle and a tampered direct kernel reach both censuses alike."""
         req = EnumRequest(n=2, value_set=INT2, real_only=True)
         # a_-2..a_2 = (1, 2, 0, 2, 1) is symmetric: the oracle is made to see a
         # nonzero commutator entry for it.  (2, -1, 0, 1, -2) is
-        # skew-symmetric: its classification is made to raise.
+        # skew-symmetric: the kernel is made to find no label for it, in the
+        # census's stacked call and in classify_real's call alike.
         tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
         original_comm = toeplitz._comm
 
@@ -377,21 +432,22 @@ class TestStackedCensus:
 
         monkeypatch.setattr(toeplitz, "_comm", comm)
         monkeypatch.setattr(genlab, "_comm", comm)
-        original_real = classify.classify_real
-        victim = from_diagonals([2, -1, 0, 1, -2]).diag
+        original_tests = classify._direct_tests
 
-        def classify_real(spec, policy, report):
-            if spec.diag == victim:
-                raise TheoremViolation("forced")
-            return original_real(spec, policy, report)
+        def direct_tests(up, lo, real):
+            degenerate, tests = original_tests(up, lo, real)
+            victim = (up == [-1, 2]).all(axis=1) & (lo == [1, -2]).all(axis=1)
+            tests[victim] = False
+            return degenerate, tests
 
-        monkeypatch.setattr(classify, "classify_real", classify_real)
-        monkeypatch.setattr(genlab, "classify_real", classify_real)
+        monkeypatch.setattr(classify, "_direct_tests", direct_tests)
+        monkeypatch.setattr(genlab, "_direct_tests", direct_tests)
         want = reference_census(req)
         assert [(v["spec"]["diag"], v["error"]) for v in want["violations"]] == [
             (spec_to_json(from_diagonals([1, 2, 0, 2, 1]))["diag"],
              "element-wise and dense-oracle verdicts disagree"),
-            (spec_to_json(from_diagonals([2, -1, 0, 1, -2]))["diag"], "forced"),
+            (spec_to_json(from_diagonals([2, -1, 0, 1, -2]))["diag"],
+             "normal real spec earned no structure label"),
         ]
         for block in (1, genlab._BLOCK):
             with mock.patch.object(genlab, "_BLOCK", block):
@@ -410,3 +466,17 @@ class TestStackedCensus:
         for got in sizes.values():
             assert len(got) > 1 and max(got) <= genlab._BLOCK
             assert sum(got) == report.total == 5**4
+
+    def test_kernel_takes_normal_specs_a_block_at_a_time(self, monkeypatch):
+        """Every kernel call but the last holds at least one block, none two."""
+        sizes = []
+
+        def counted(up, lo, real, _original=genlab._direct_tests):
+            sizes.append(len(up))
+            return _original(up, lo, real)
+
+        monkeypatch.setattr(genlab, "_direct_tests", counted)
+        monkeypatch.setattr(genlab, "_BLOCK", 7)
+        report = enumerate_and_verify(EnumRequest(n=2, value_set=INT2, real_only=True))
+        assert sum(sizes) == report.normal == 81
+        assert len(sizes) > 1 and min(sizes[:-1]) >= 7 and max(sizes) < 2 * 7

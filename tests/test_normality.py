@@ -14,11 +14,11 @@ from toepnorm.normality import (
     fast_max_residual,
     is_normal,
     report_to_json,
-    residual,
     residual_scale,
 )
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
 from toepnorm.toeplitz import from_diagonals
+from references import residual
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 quarters = st.integers(-32, 32).map(lambda k: Fraction(k, 4))

@@ -23,7 +23,6 @@ from toepnorm.polyid import (
     identity16_holds,
     identity8_coefficient_check,
     identity8_residual,
-    identity8_residual_at_points,
     identity9_residual,
     is_zero_poly,
     poly_mul,
@@ -37,6 +36,7 @@ from toepnorm.scalar import (
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
+from references import identity8_residual_at_points
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 coeff_vectors = st.lists(small_fractions, min_size=1, max_size=6)
