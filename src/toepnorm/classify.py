@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -30,9 +30,11 @@ from .scalar import (
     GaussianRational,
     ScalarPolicy,
     abs_sq,
+    clear_denominators,
     rational_unit_circle,
+    scalar_to_json,
 )
-from .toeplitz import ToeplitzSpec, _grid_array, _stack_array
+from .toeplitz import ToeplitzSpec, _stack_array
 
 __all__ = [
     "ANY",
@@ -207,8 +209,8 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
 
     Returns the sentinel :data:`ANY` when both vectors are entirely zero,
     and None when no unit-modulus ratio fits.  Exact vectors are decided by
-    :func:`_ratio_pivots` on one row (cleared to Gaussian integers by
-    :func:`toepnorm.toeplitz._grid_array`); c = numer[p] / denom[p] is
+    :func:`_ratio_pivots` on one row (the cleared Gaussian integers of
+    :func:`toepnorm.toeplitz._stack_array`); c = numer[p] / denom[p] is
     formed only for the answer.  Float or complex vectors take c at the
     :func:`_pivot` entry of denom and verify it everywhere under the
     policy's tolerance, including the zero-denominator indices (which force
@@ -219,7 +221,7 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
         raise ValueError("vectors must have equal, nonzero length")
     if not isinstance(denom[0], (float, complex)):
         k = len(numer)
-        d = _grid_array(numer + denom, k)
+        d = _stack_array(clear_denominators(numer + denom), k)
         p = int(_ratio_pivots(d[None, :k], d[None, k:])[0])
         if p < 0:
             return ANY if p == _ANY_FIT else None
@@ -240,12 +242,8 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
 
 
 def _spec_tests(spec: ToeplitzSpec, real: bool):
-    """The tests of :func:`_direct_tests` for one exact spec, as a list.
-
-    They run on ``spec.cleared`` within one limb, else on the spec's values.
-    """
-    n, (re, im, _) = spec.n, spec.cleared
-    d = _stack_array(spec.diag, re, im, n)
+    """:func:`_direct_tests` of one exact spec's :attr:`ToeplitzSpec.array`, as a list."""
+    n, d = spec.n, spec.array
     return _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)[1][0].tolist()
 
 
@@ -507,24 +505,15 @@ def classify_real(
 
 
 def _scalar_or_null(z):
-    from .scalar import scalar_to_json
-
     return None if z is None else scalar_to_json(z)
 
 
 def trace_to_json(trace: ProofTrace):
+    """The trace's fields in order: x0 as a number, the rest as scalars."""
     if trace is None or trace.point is None:
         return None
-    return {
-        "x0": trace.x0,
-        "point": _scalar_or_null(trace.point),
-        "s_at_x0": _scalar_or_null(trace.s_at_x0),
-        "t_at_x0": _scalar_or_null(trace.t_at_x0),
-        "alpha": _scalar_or_null(trace.alpha),
-        "beta": _scalar_or_null(trace.beta),
-        "alpha0": _scalar_or_null(trace.alpha0),
-        "beta0": _scalar_or_null(trace.beta0),
-    }
+    rest = {f.name: _scalar_or_null(getattr(trace, f.name)) for f in fields(trace)[1:]}
+    return {"x0": trace.x0, **rest}
 
 
 def classification_to_json(

@@ -31,13 +31,13 @@ from .classify import (
     classify_real,
 )
 from .normality import NormalityReport, _table_np, check
-from .scalar import GaussianRational, ScalarPolicy, rational_unit_circle
+from .scalar import GaussianRational, ScalarPolicy, clear_denominators, rational_unit_circle
 from .toeplitz import (
     ToeplitzSpec,
     _comm,
     _dense_np,
     _float_range_problem,
-    _grid_array,
+    _stack_array,
     from_diagonals,
     spec_to_json,
 )
@@ -65,18 +65,13 @@ class Kind(Enum):
 
 
 _WITNESS_KINDS = (Kind.TYPE_I, Kind.TYPE_II)
-_REAL_KINDS = (
-    Kind.SYMMETRIC,
-    Kind.SKEW_SYMMETRIC,
-    Kind.CIRCULANT,
-    Kind.SKEW_CIRCULANT,
-)
 _REAL_SIGNS = {
     Kind.SYMMETRIC: 1,
     Kind.SKEW_SYMMETRIC: -1,
     Kind.CIRCULANT: 1,
     Kind.SKEW_CIRCULANT: -1,
 }
+_REAL_KINDS = tuple(_REAL_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,8 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
 
     Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
     a_1..a_n) in blocks of stacked arrays of the grid's exact values
-    (:func:`toepnorm.toeplitz._grid_array`), where the residual scan and
+    (:func:`toepnorm.toeplitz._stack_array`, held as float64 in a real
+    census of one-limb values), where the residual scan and
     the dense oracle each give every spec a verdict.  The specs both find
     normal are gathered, at least a block's worth at a time, for the
     direct route's stacked kernel (:func:`toepnorm.classify._direct_tests`),
@@ -284,7 +280,9 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     counts = np.zeros(len(keys), np.int64)
     violations = []
     halves = list(itertools.product(values, repeat=n))
-    grid = _grid_array(values, n)
+    grid = _stack_array(clear_denominators(values), n)
+    if req.real_only and grid.dtype == complex:
+        grid = grid.real.copy()  # the same integers, so every kernel runs real
     half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
     # Normal rows wait in ``held`` until a block's worth is ready for the
     # direct-route kernel.  ``disagree`` and ``undecided`` collect the row

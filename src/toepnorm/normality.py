@@ -5,9 +5,10 @@ A Toeplitz matrix is normal iff every residual
     r(m, n) = a_m*conj(a_n) - conj(a_{-m})*a_{-n}
               + conj(a_{N+1-m})*a_{N+1-n} - a_{-(N+1-m)}*conj(a_{-(N+1-n)})
 
-vanishes for 1 <= m, n <= N.  That is an O(N^2) test with one kernel per
-domain: Gaussian-integer pairs in exact mode, numpy outer products in
-approximate mode.  The dense commutator from :mod:`toepnorm.toeplitz` is
+vanishes for 1 <= m, n <= N.  That is an O(N^2) test with one kernel in
+both domains, :func:`_table_np`: numpy outer products of the floats or
+cleared Gaussian integers of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`,
+walked in row blocks.  The dense commutator from :mod:`toepnorm.toeplitz` is
 the independent O(N^3) ground truth, and :func:`check` always runs both and
 records whether they agree.  Both verdicts are taken at one threshold on
 the scale N * max|a_k|^2 (:func:`residual_scale`).  The residuals form a
@@ -40,36 +41,6 @@ def residual_scale(spec: ToeplitzSpec) -> float:
     return 0.0 if spec.is_exact else spec.n * spec.max_abs() ** 2
 
 
-def _max_exact(spec: ToeplitzSpec):
-    """Largest |r(m, n)|^2 and its first pair, on :attr:`ToeplitzSpec.cleared`.
-
-    Every residual is the integer residual of the L-scaled entries divided
-    by L^2, so |r|^2 is the integer maximum divided by L^4.  The table is
-    Hermitian, so the first row-major maximum lies on or above the diagonal
-    and only n >= m is scanned.
-    """
-    re, im, lcm = spec.cleared
-    N = spec.n
-    # Column n-1 holds a_n, a_{-n}, a_{N+1-n}, a_{-(N+1-n)} as (re, im).
-    xr, xi = re[N + 1 :], im[N + 1 :]
-    yr, yi = re[N - 1 :: -1], im[N - 1 :: -1]
-    cols = list(zip(xr, xi, yr, yi, xr[::-1], xi[::-1], yr[::-1], yi[::-1]))
-    best, pair = 0, (1, 1)
-    for m in range(1, N + 1):
-        ar, ai, br, bi, cr, ci, dr, di = cols[m - 1]
-        for n, (pr, pi, qr, qi, ur, ui, vr, vi) in enumerate(cols[m - 1 :], start=m):
-            # a_m conj(a_n) - conj(a_-m) a_-n + conj(a_{N+1-m}) a_{N+1-n}
-            # - a_{-(N+1-m)} conj(a_{-(N+1-n)}), split into re and im
-            rr = (ar * pr + ai * pi - br * qr - bi * qi
-                  + cr * ur + ci * ui - dr * vr - di * vi)
-            ri = (ai * pr - ar * pi - br * qi + bi * qr
-                  + cr * ui - ci * ur - di * vr + dr * vi)
-            s = rr * rr + ri * ri
-            if s > best:
-                best, pair = s, (m, n)
-    return Fraction(best, lcm**4), pair
-
-
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
@@ -89,36 +60,72 @@ def _table_np(lo: np.ndarray, up: np.ndarray, rows=slice(None)) -> np.ndarray:
     return t
 
 
-# Entries of one float scan block: 64 KB of complex128, so the block's
+# Entries of one scan block: 64 KB of complex128, so the block's
 # temporaries are reused from request to request instead of being returned
 # to the operating system and faulted in again.
 _BLOCK = 4096
+
+
+def _pick_float(t: np.ndarray, best: float):
+    """(|r|, flat index) of the block's first NaN, else first max, if it beats ``best``."""
+    mags = np.abs(t)
+    flat = int(np.argmax(mags))
+    value = float(mags.flat[flat])
+    if value > best or (value != value and best == best):
+        return value, flat
+
+
+def _pick_exact(t: np.ndarray, best: int):
+    """(|r|^2, flat index) of the block's first largest |r|^2 if above ``best``.
+
+    ``t`` holds Gaussian integers, whose Python-int |r|^2 decide.  An object
+    table tries every entry; a complex128 one has exact parts below 2^53
+    and tries the float |r|^2 at or above F (1 - 2^-49), F their maximum.
+    Each term of fl(fl(re^2) + fl(im^2)) is rounded twice by a relative
+    u = 2^-53, so it lies within a relative 2^-51 of the exact |r|^2.  With
+    S the block's exact maximum, F <= S (1 + 2^-51), each tie of S has
+    float |r|^2 >= S (1 - 2^-51), and the cut, rounded, is at most
+    S (1 + 2^-51)(1 - 2^-49)(1 + 2^-53) < S (1 - 2^-51): every tie of S
+    passes, in row-major order.  An all-zero block has nothing above ``best``.
+    """
+    if not t.any():
+        return None
+    if t.dtype == object:
+        flats = np.arange(t.size)
+    else:
+        sq = t.real * t.real + t.imag * t.imag
+        flats = np.flatnonzero(sq >= sq.max() * (1 - 2.0**-49))
+    found = None
+    for flat, z in zip(flats.tolist(), t.ravel()[flats].tolist()):
+        value = int(z.real) ** 2 + int(z.imag) ** 2
+        if value > best:
+            best, found = value, (value, flat)
+    return found
 
 
 def fast_max_residual(spec: ToeplitzSpec):
     """Max-only residual scan: (magnitude, (m, n)) without keeping the table.
 
     Exact mode reports the squared magnitude (in-field); approximate mode the
-    plain magnitude.  Ties resolve to the first pair in row-major order.  The
-    float table is built in blocks of max(1, 4096 // N) rows; each block's
-    first maximum replaces the running one only when strictly larger, so the
-    value and pair are those of one scan over the whole table.
+    plain magnitude.  Ties resolve to the first pair in row-major order.
+    The table of :attr:`ToeplitzSpec.array` is built in blocks of
+    max(1, 4096 // N) rows; each block's first maximum replaces the running
+    one only when strictly larger, so the value and pair are those of one
+    scan over the whole table.  An exact spec's table holds its residuals
+    times L^2, L the denominator of :attr:`ToeplitzSpec.cleared`.
     """
-    if spec.is_exact:
-        return _max_exact(spec)
-    N = spec.n
-    lo, up = np.asarray(spec.lower, complex), np.asarray(spec.upper, complex)
+    d, N = spec.array, spec.n
+    pick, best, pair = (_pick_exact, 0, (1, 1)) if spec.is_exact else (_pick_float, -1.0, None)
+    # A contiguous copy builds the table faster than the reversed view, same bits.
+    lo, up = d[N + 1 :], d[N - 1 :: -1].copy()
     height = max(1, _BLOCK // N)
-    best, pair = -1.0, None
     for start in range(0, N, height):
-        mags = np.abs(_table_np(lo, up, slice(start, start + height)))
-        flat = int(np.argmax(mags))
-        value = float(mags.flat[flat])
-        # np.argmax's own rule across blocks: the first NaN, else the first max
-        if value > best or (value != value and best == best):
+        found = pick(_table_np(lo, up, slice(start, start + height)), best)
+        if found:
+            best, flat = found
             m, n = divmod(flat, N)
-            best, pair = value, (start + m + 1, n + 1)
-    return best, pair
+            pair = (start + m + 1, n + 1)
+    return (Fraction(best, spec.cleared[2] ** 4) if spec.is_exact else best), pair
 
 
 def _threshold(spec: ToeplitzSpec, policy: ScalarPolicy):

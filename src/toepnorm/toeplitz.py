@@ -119,6 +119,22 @@ class ToeplitzSpec:
         re, im, lcm = clear_denominators(self.diag[:n] + (0,) + self.diag[n + 1 :])
         return tuple(re), tuple(im), lcm
 
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The diagonal as the read-only array every kernel reads, a_0 = 0.
+
+        complex128 for a float spec; :func:`_stack_array` of :attr:`cleared`
+        for an exact one.
+        """
+        n = self.n
+        if self.is_exact:
+            d = _stack_array(self.cleared, n)
+        else:
+            d = np.array(self.diag, complex)
+            d[n] = 0
+        d.flags.writeable = False
+        return d
+
 
 _SCALAR_TYPES = (int, Fraction, GaussianRational, float, complex)
 
@@ -160,28 +176,22 @@ def _as_gaussian(e) -> GaussianRational:
     return e if isinstance(e, GaussianRational) else GaussianRational(e)
 
 
-def _stack_array(values, re: list, im: list, n: int) -> np.ndarray:
-    """Exact values as one array the stacked kernels test exactly.
+def _stack_array(cleared: tuple, n: int) -> np.ndarray:
+    """Cleared Gaussian integers (re, im, L) as one array the kernels test exactly.
 
-    ``re`` and ``im`` are the values cleared to Gaussian integers over one
-    common denominator.  complex128 holding those integers when each part
-    is below 2^k, k the oracle's one-limb width (:func:`_limb_bits`):
-    every residual is a sum of four products of such parts, every
-    commutator entry meets the oracle's 2^53 bound, and every direct-route
-    test is exact (see :func:`toepnorm.classify._direct_tests`).
-    Otherwise an object array of the exact values, on which the same
-    expressions run in exact Python arithmetic.
+    complex128 when each part is below 2^k, k = :func:`_limb_bits` <= 25:
+    a part of a residual is a sum of 8 products of such parts, so the
+    scan's table stays exact below 2^53; every commutator entry meets the
+    oracle's 2^53 bound; every direct-route test is exact (see
+    :func:`toepnorm.classify._direct_tests`).  Otherwise an object array of
+    Python ints, or of GaussianRationals when a part is imaginary, on which
+    the same expressions run in exact Python arithmetic.
     """
+    re, im, _ = cleared
     if max(map(abs, re + im)) < 1 << _limb_bits(n):
         return np.fromiter(map(complex, re, im), complex, len(re))
-    canon = _as_fraction if all(v.imag == 0 for v in values) else _as_gaussian
-    return np.fromiter(map(canon, values), object, len(values))
-
-
-def _grid_array(values: tuple, n: int) -> np.ndarray:
-    """:func:`_stack_array` of exact values, cleared here."""
-    re, im, _ = clear_denominators(values)
-    return _stack_array(values, re, im, n)
+    values = map(GaussianRational, re, im) if any(im) else re
+    return np.fromiter(values, object, len(re))
 
 
 def _dense_np(d: np.ndarray, n: int) -> np.ndarray:
@@ -205,13 +215,6 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = a @ bh
     c -= bh @ a
     return c
-
-
-def _commutator_np(spec: ToeplitzSpec) -> np.ndarray:
-    d = np.array(spec.diag, dtype=complex)
-    d[spec.n] = 0
-    t = _dense_np(d, spec.n)
-    return _comm(t, t)
 
 
 def _limb_bits(n: int) -> int:
@@ -239,17 +242,18 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     terms with s < t and D those with s = t: S(S+1)/2 products, not S^2.
     H + H^H and D of one g are summed in int64 by :func:`_group_sum` before
     the shift, so the Python ints see 2S - 1 passes.  S comes from the data;
-    it is 1 unless an integer exceeds 2^k - 1.
+    it is 1, and the one limb is :attr:`ToeplitzSpec.array`, unless an
+    integer exceeds 2^k - 1.
     """
     re, im, lcm = spec.cleared
     n = spec.n
+    if spec.array.dtype == complex:  # one limb, the usual case
+        t = _dense_np(spec.array, n)
+        return _int64(_comm(t, t)).tolist(), lcm * lcm
     m = 2 * n + 1
     k = _limb_bits(n)
     vals = re + im
     bits = max(max(vals), -min(vals)).bit_length()
-    if bits <= k:  # one limb, the usual case
-        t = _dense_np(np.fromiter(map(complex, re, im), complex, m), n)
-        return _int64(_comm(t, t)).tolist(), lcm * lcm
     mask = (1 << k) - 1
     mats = []
     for shift in range(0, bits, k):
@@ -311,7 +315,8 @@ def commutator_norm(spec: ToeplitzSpec):
     if spec.is_exact:
         flat, den = _commutator_int(spec)
         return Fraction(sum(map(operator.mul, flat, flat)), den * den)
-    return float(np.linalg.norm(_commutator_np(spec)))
+    t = _dense_np(spec.array, spec.n)
+    return float(np.linalg.norm(_comm(t, t)))
 
 
 # Bound on (N+1) * c, c the largest off-diagonal |re| or |im|, under which

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from toepnorm.polyid import eval_at_point, trig_coeffs
 from toepnorm.scalar import GaussianRational
-from toepnorm.toeplitz import ToeplitzSpec, _commutator_int, _commutator_np
+from toepnorm.toeplitz import ToeplitzSpec, _comm, _commutator_int, _dense_np
 
 
 def entry(spec: ToeplitzSpec, k):
@@ -40,6 +40,37 @@ def residual(spec: ToeplitzSpec, m: int, n: int):
     )
 
 
+def _max_exact(spec: ToeplitzSpec):
+    """Largest |r(m, n)|^2 and its first pair, on :attr:`ToeplitzSpec.cleared`.
+
+    The exact scan as eight-component Python ints per pair.  Every residual
+    is the integer residual of the L-scaled entries divided by L^2, so
+    |r|^2 is the integer maximum divided by L^4.  The table is Hermitian,
+    so the first row-major maximum lies on or above the diagonal and only
+    n >= m is scanned.
+    """
+    re, im, lcm = spec.cleared
+    N = spec.n
+    # Column n-1 holds a_n, a_{-n}, a_{N+1-n}, a_{-(N+1-n)} as (re, im).
+    xr, xi = re[N + 1 :], im[N + 1 :]
+    yr, yi = re[N - 1 :: -1], im[N - 1 :: -1]
+    cols = list(zip(xr, xi, yr, yi, xr[::-1], xi[::-1], yr[::-1], yi[::-1]))
+    best, pair = 0, (1, 1)
+    for m in range(1, N + 1):
+        ar, ai, br, bi, cr, ci, dr, di = cols[m - 1]
+        for n, (pr, pi, qr, qi, ur, ui, vr, vi) in enumerate(cols[m - 1 :], start=m):
+            # a_m conj(a_n) - conj(a_-m) a_-n + conj(a_{N+1-m}) a_{N+1-n}
+            # - a_{-(N+1-m)} conj(a_{-(N+1-n)}), split into re and im
+            rr = (ar * pr + ai * pi - br * qr - bi * qi
+                  + cr * ur + ci * ui - dr * vr - di * vi)
+            ri = (ai * pr - ar * pi - br * qi + bi * qr
+                  + cr * ui - ci * ur - di * vr + dr * vi)
+            s = rr * rr + ri * ri
+            if s > best:
+                best, pair = s, (m, n)
+    return Fraction(best, lcm**4), pair
+
+
 def materialize(spec: ToeplitzSpec) -> list:
     """Dense (N+1)x(N+1) matrix with M[i][j] = a_{i-j} (stored a_0 included)."""
     n = spec.n
@@ -65,7 +96,8 @@ def commutator(spec: ToeplitzSpec) -> list:
     """Dense T*T^H - T^H*T with a_0 forced to zero, as the oracle computes it."""
     if spec.is_exact:
         return _commutator_exact(spec)
-    return _commutator_np(spec).tolist()
+    t = _dense_np(spec.array, spec.n)
+    return _comm(t, t).tolist()
 
 
 def identity8_residual_at_points(spec: ToeplitzSpec, w, z):

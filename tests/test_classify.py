@@ -278,8 +278,9 @@ class TestStackedDirectKernel:
         n, real, _, den, rows = case
         flat = [GaussianRational(Fraction(x, den), Fraction(y, den)) for up, lo in rows
                 for x, y in up + lo]
-        arr = toeplitz._grid_array(tuple(flat), n)
-        re, im, _ = clear_denominators(flat)
+        cleared = clear_denominators(flat)
+        arr = toeplitz._stack_array(cleared, n)
+        re, im, _ = cleared
         big = max(map(abs, re + im))
         assert arr.dtype == (complex if big < 2 ** toeplitz._limb_bits(n) else object)
         arr = arr.reshape(len(rows), 2 * n)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toepnorm import cli, genlab, normality, scalar
+from toepnorm import classify, cli, genlab, normality, scalar, toeplitz
 from toepnorm.classify import (
     ClassificationResult,
     TheoremViolation,
@@ -397,6 +397,21 @@ class TestOneClearedFormPerSpec:
         code, _, _ = run_cli([*command, spec_file(doc)], capsys)
         assert code == 0
         assert len(clear_calls) == 1
+
+    def test_classify_both_builds_one_array(self, monkeypatch, spec_file, capsys):
+        """Scan, oracle and direct route all read the spec's one array."""
+        calls = []
+
+        def counted(*args, _original=toeplitz._stack_array):
+            calls.append(args)
+            return _original(*args)
+
+        for module in (toeplitz, classify, genlab):  # every binding of the name
+            monkeypatch.setattr(module, "_stack_array", counted)
+        spec = generate(GenRequest(n=6, kind=Kind.SYMMETRIC, seed=1, exact=True))
+        code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
+        assert code == 0 and doc["direct"]["real_labels"] == ["Symmetric"]
+        assert len(calls) == 1
 
     def test_float_request_clears_nothing(self, spec_file, capsys, clear_calls):
         spec = generate(GenRequest(n=3, kind=Kind.TYPE_I, seed=1))

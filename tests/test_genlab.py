@@ -23,7 +23,7 @@ from toepnorm.genlab import (
 )
 from toepnorm.normality import check, fast_max_residual
 from toepnorm.classify import TheoremViolation, Verdict
-from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
+from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq, clear_denominators
 from toepnorm.toeplitz import (
     _FLOAT_RANGE,
     commutator_norm,
@@ -34,6 +34,11 @@ from toepnorm.toeplitz import (
 
 ALL_KINDS = list(Kind)
 STRUCTURED = [k for k in ALL_KINDS if k is not Kind.UNCONSTRAINED]
+
+
+def grid_array(values, n):
+    """The census's array of a value grid."""
+    return toeplitz._stack_array(clear_denominators(values), n)
 
 
 class TestGenerate:
@@ -227,7 +232,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(genlab, "_direct_tests", recording)
         enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
-        grid = genlab._grid_array(values, n)
+        grid = grid_array(values, n)
         wants = []
         for combo in itertools.product(range(len(values)), repeat=2 * n):
             diag = [values[i] for i in combo]
@@ -403,7 +408,7 @@ class TestStackedCensus:
     )
     @pytest.mark.parametrize("n", [1, 2])
     def test_beyond_one_limb_runs_on_exact_values(self, values, real_only, n):
-        assert genlab._grid_array(values, n).dtype == object
+        assert grid_array(values, n).dtype == object
         req = EnumRequest(n=n, value_set=values, real_only=real_only)
         got = enum_report_to_json(enumerate_and_verify(req))
         assert got == reference_census(req)
@@ -412,9 +417,27 @@ class TestStackedCensus:
     @pytest.mark.parametrize("n", [1, 2, 16])
     def test_largest_one_limb_grid_is_complex(self, n):
         top = 2 ** toeplitz._limb_bits(n) - 1
-        assert genlab._grid_array((Fraction(top, 3), -1), n).dtype == complex
-        assert genlab._grid_array((Fraction(top + 1, 3), -1), n).dtype == object
-        assert genlab._grid_array((GaussianRational(1, top + 1),), n).dtype == object
+        assert grid_array((Fraction(top, 3), -1), n).dtype == complex
+        assert grid_array((Fraction(top + 1, 3), -1), n).dtype == object
+        assert grid_array((GaussianRational(1, top + 1),), n).dtype == object
+
+    @pytest.mark.parametrize(
+        "values, real_only, dtype",
+        [(INT2, True, float), (INT2, False, complex), (GAUSS1, False, complex), ((0, 2**40), True, object)],
+    )
+    def test_real_census_runs_real(self, monkeypatch, values, real_only, dtype):
+        """A real census of one-limb values holds its grid as float64."""
+        seen = set()
+        for name in ("_table_np", "_comm", "_direct_tests"):
+
+            def recorded(*args, _original=getattr(genlab, name)):
+                seen.add(args[0].dtype)
+                return _original(*args)
+
+            monkeypatch.setattr(genlab, name, recorded)
+        req = EnumRequest(n=1, value_set=values, real_only=real_only)
+        assert enum_report_to_json(enumerate_and_verify(req)) == reference_census(req)
+        assert seen == {np.dtype(dtype)}
 
     def test_forced_disagreement_and_violation_in_order(self, monkeypatch):
         """A tampered oracle and a tampered direct kernel reach both censuses alike."""

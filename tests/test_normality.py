@@ -1,10 +1,11 @@
 """Element-wise residual test, its Hermitian structure, the dual check."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from toepnorm import normality
@@ -18,7 +19,7 @@ from toepnorm.normality import (
 )
 from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq
 from toepnorm.toeplitz import from_diagonals
-from references import residual
+from references import _max_exact, residual
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 quarters = st.integers(-32, 32).map(lambda k: Fraction(k, 4))
@@ -174,6 +175,49 @@ def test_scan_is_brute_force_max_float(spec):
     assert fast_max_residual(approx) == brute_force_max(approx)
 
 
+@st.composite
+def exact_scan_specs(draw):
+    """Exact specs of four kinds for the scan against :func:`_max_exact`.
+
+    Generated specs of every kind up to N = 300, so the scan crosses row
+    blocks; {-1, 0, 1} grids, real or Gaussian, full of ties; Gaussian
+    entries whose cleared parts need two or more limbs, so the scan runs on
+    an object array; and all-zero specs with any a_0.
+    """
+    kind = draw(st.sampled_from(["generated", "grid", "wide", "zero"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "generated":
+        n = draw(st.integers(1, 300))
+        spec = generate(GenRequest(n=n, kind=draw(st.sampled_from(list(Kind))), seed=rng.randrange(100), exact=True))
+        if draw(st.booleans()):  # one residual row and column off zero
+            diag = list(spec.diag)
+            diag[rng.randrange(2 * n + 1)] += Fraction(1, 12)
+            spec = from_diagonals(diag)
+        return spec
+    if kind == "grid":
+        n = draw(st.integers(1, 300))
+        unit = draw(st.sampled_from([1, GaussianRational(0, 1)]))
+        return from_diagonals([rng.choice((-1, 0, 1)) + rng.choice((0, unit)) for _ in range(2 * n + 1)])
+    if kind == "wide":
+        n = draw(st.integers(1, 24))
+        bits = draw(st.integers(26, 120))
+        spec = from_diagonals(
+            [GaussianRational(rng.randrange(-(2**bits), 2**bits), rng.randrange(-3, 4)) for _ in range(2 * n + 1)]
+        )
+        assume(spec.array.dtype == object)
+        return spec
+    n = draw(st.integers(1, 300))
+    return from_diagonals([0] * n + [rng.choice((0, 1, GaussianRational(2, 3)))] + [0] * n)
+
+
+@given(exact_scan_specs())
+@settings(max_examples=80, deadline=None)
+def test_exact_scan_is_the_reference_scan(spec):
+    value, pair = fast_max_residual(spec)
+    assert (value, pair) == _max_exact(spec)
+    assert type(value) is Fraction
+
+
 class TestFastMax:
     def test_exact_reports_square(self, fraction_spec):
         value, pair = fast_max_residual(fraction_spec)
@@ -201,6 +245,24 @@ class TestFastMax:
         value, pair = fast_max_residual(spec.as_approx())
         assert value == 4.0
         assert pair == (1, 3)
+
+
+class TestExactPick:
+    """normality._pick_exact on hand-made blocks of Gaussian integers."""
+
+    def test_python_ints_decide_what_float_rounds_together(self):
+        # |2^52|^2 = 2^104 and |2^52 + i|^2 = 2^104 + 1 are one float.
+        block = np.array([[2.0**52, 2.0**52 + 1j]])
+        assert (block.real**2 + block.imag**2).tolist() == [[2.0**104, 2.0**104]]
+        assert normality._pick_exact(block, 0) == (2**104 + 1, 1)
+        assert normality._pick_exact(block[:, ::-1].copy(), 0) == (2**104 + 1, 0)
+        assert normality._pick_exact(block, 2**104 + 1) is None
+
+    def test_zero_and_object_blocks(self):
+        assert normality._pick_exact(np.zeros((2, 3), complex), 0) is None
+        block = np.array([[2**70, GaussianRational(3, -4), GaussianRational(0, 2**70)]], dtype=object)
+        assert normality._pick_exact(block, 0) == (2**140, 0)
+        assert normality._pick_exact(block, 2**140) is None
 
 
 def full_table_max(spec):
@@ -234,8 +296,21 @@ def float_scan_specs(draw, sizes=st.integers(1, 300)):
     return from_diagonals([z * scale for z in spec.diag])
 
 
+def block_spec(lower, exact):
+    """The spec with a_1..a_N = ``lower`` and zeros elsewhere, exact or float."""
+    n = len(lower)
+    return from_diagonals([0] * (n + 1) + (lower if exact else [float(x) for x in lower]))
+
+
+def assert_scan_is_reference(spec):
+    if spec.is_exact:
+        assert fast_max_residual(spec) == _max_exact(spec)
+    else:
+        assert_scan_is_full_table(spec)
+
+
 class TestBlockedScan:
-    """The float scan in row blocks against one pass over the whole table."""
+    """The scan in row blocks against one float pass over the whole table, or _max_exact."""
 
     @given(float_scan_specs())
     @settings(max_examples=120, deadline=None)
@@ -247,26 +322,35 @@ class TestBlockedScan:
     def test_equals_full_table_on_ragged_blocks(self, spec):
         assert_scan_is_full_table(spec)
 
-    @pytest.mark.parametrize("n, p", [(65, 2), (100, 30), (129, 31), (300, 13)])
-    def test_tie_across_a_block_boundary_keeps_the_first(self, n, p):
+    @pytest.mark.parametrize(
+        "n, p, exact",
+        [
+            pytest.param(n, p, exact, id=f"{n}-{p}" + ("-exact" if exact else ""))
+            for exact in (False, True)
+            for n, p in [(65, 2), (100, 30), (129, 31), (300, 13)]
+        ],
+    )
+    def test_tie_across_a_block_boundary_keeps_the_first(self, n, p, exact):
         # Only a_p is nonzero, so the table is zero but for r(p, p) = 1 and
         # r(N+1-p, N+1-p) = 1, which lie in different row blocks.
-        lower = [0.0] * n
-        lower[p - 1] = 1.0
-        spec = from_diagonals([0.0] * n + [0.0] + lower)
+        lower = [0] * n
+        lower[p - 1] = 1
+        spec = block_spec(lower, exact)
         height = max(1, 4096 // n)
         assert (p - 1) // height != (n - p) // height
-        assert fast_max_residual(spec) == (1.0, (p, p))
-        assert_scan_is_full_table(spec)
+        assert fast_max_residual(spec) == (1, (p, p))
+        assert_scan_is_reference(spec)
 
-    def test_larger_value_in_a_later_block_wins(self):
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_larger_value_in_a_later_block_wins(self, exact):
         n = 100
-        lower = [0.0] * n
-        # Rows 1-40 peak at r(30, 50) = 2; r(50, 50) = 4 in rows 41-80 wins.
-        lower[29], lower[49] = 1.0, 2.0
-        spec = from_diagonals([0.0] * n + [0.0] + lower)
-        assert fast_max_residual(spec) == (4.0, (50, 50))
-        assert_scan_is_full_table(spec)
+        lower = [0] * n
+        # Rows 1-40 peak at |r(30, 50)| = 2; |r(50, 50)| = 4 in rows 41-80
+        # wins (16 and 4 as exact squares).
+        lower[29], lower[49] = 1, 2
+        spec = block_spec(lower, exact)
+        assert fast_max_residual(spec) == ((16, (50, 50)) if exact else (4.0, (50, 50)))
+        assert_scan_is_reference(spec)
 
     @pytest.mark.parametrize("n", [65, 200])
     def test_nan_in_a_later_block_is_reported_like_argmax(self, n):

@@ -554,3 +554,18 @@ class TestClearedForm:
         spec = from_diagonals([GaussianRational(1, 2), 5, Fraction(1, 3)])
         assert spec.cleared is spec.cleared
         assert spec.cleared == ((3, 0, 1), (6, 0, 0), 3)
+
+    @pytest.mark.parametrize(
+        "entries, dtype, want",
+        [
+            ([1 + 2j, 3.5, -4j], complex, [1 + 2j, 0j, -4j]),
+            ([GaussianRational(1, 2), 5, Fraction(1, 3)], complex, [3 + 6j, 0j, 1 + 0j]),
+            ([2**40, 5, -1], object, [2**40, 0, -1]),
+            ([GaussianRational(2**40, 1), 5, 1], object, [GaussianRational(2**40, 1), 0, 1]),
+        ],
+    )
+    def test_array_holds_the_cleared_integers(self, entries, dtype, want):
+        """One read-only array per spec, a_0 = 0: floats, or the cleared integers."""
+        spec = from_diagonals(entries)
+        assert spec.array is spec.array and not spec.array.flags.writeable
+        assert spec.array.dtype == dtype and spec.array.tolist() == want
