@@ -27,7 +27,6 @@ import numpy as np
 from .normality import NormalityReport
 from .polyid import eval_at_point, trig_coeffs
 from .scalar import (
-    GaussianRational,
     ScalarPolicy,
     abs_sq,
     clear_denominators,
@@ -211,10 +210,10 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     and None when no unit-modulus ratio fits.  Exact vectors are decided by
     :func:`_ratio_pivots` on one row (the cleared Gaussian integers of
     :func:`toepnorm.toeplitz._stack_array`); c = numer[p] / denom[p] is
-    formed only for the answer.  Float or complex vectors take c at the
-    :func:`_pivot` entry of denom and verify it everywhere under the
-    policy's tolerance, including the zero-denominator indices (which force
-    numer zero there).
+    formed only for the answer, as a Fraction when both are ints.  Float or
+    complex vectors take c at the :func:`_pivot` entry of denom and verify
+    it everywhere under the policy's tolerance (:func:`_condition_holds`),
+    including the zero-denominator indices (which force numer zero there).
     """
     numer, denom = tuple(numer), tuple(denom)
     if len(numer) != len(denom) or not numer:
@@ -225,7 +224,8 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
         p = int(_ratio_pivots(d[None, :k], d[None, k:])[0])
         if p < 0:
             return ANY if p == _ANY_FIT else None
-        return numer[p] / denom[p]
+        a = numer[p]
+        return (Fraction(a) if isinstance(a, int) else a) / denom[p]
     scale = _vector_scale(numer, denom)
     pivot = _pivot(denom)
     if policy.is_zero(denom[pivot], scale):
@@ -233,44 +233,26 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
             return ANY
         return None
     c = numer[pivot] / denom[pivot]
-    if not policy.is_unit_modulus(c):
+    if not policy.is_unit_modulus(c) or not _condition_holds(numer, denom, c, policy, scale):
         return None
-    for x, d in zip(numer, denom):
-        if not policy.is_zero(x - c * d, scale):
-            return None
     return c
 
 
-def _spec_tests(spec: ToeplitzSpec, real: bool):
-    """:func:`_direct_tests` of one exact spec's :attr:`ToeplitzSpec.array`, as a list."""
-    n, d = spec.n, spec.array
-    return _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)[1][0].tolist()
+def _spec_tests(spec: ToeplitzSpec, real: bool) -> tuple:
+    """:func:`_direct_tests` of one exact spec's :attr:`ToeplitzSpec.array`.
 
-
-def _exact_witnesses(spec: ToeplitzSpec) -> list:
-    """:func:`extract_unit_ratio` of both conditions, on ``spec.cleared``.
-
-    c = N_p * conj(D_p) / |D_p|^2 is built from the pivot's integers: a
-    Fraction on a real spec, else a GaussianRational.
+    Returns (degenerate, tests) of its one row, as a bool and a list.
     """
-    n, (re, im, _) = spec.n, spec.cleared
-    ur, ui, lr, li = re[n - 1 :: -1], im[n - 1 :: -1], re[n + 1 :], im[n + 1 :]
-    out = []
-    dens = ((lr, [-y for y in li]), (lr[::-1], li[::-1]))
-    for p, (dr, di) in zip(_spec_tests(spec, False), dens):
-        if p < 0:
-            out.append(ANY if p == _ANY_FIT else None)
-            continue
-        den = dr[p] * dr[p] + di[p] * di[p]
-        c = Fraction(ur[p] * dr[p] + ui[p] * di[p], den)
-        if not spec.is_real:
-            c = GaussianRational._of(c, Fraction(ui[p] * dr[p] - ur[p] * di[p], den))
-        out.append(c)
-    return out
+    n, d = spec.n, spec.array
+    degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
+    return bool(degenerate[0]), tests[0].tolist()
 
 
 def _is_degenerate(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
-    """All off-diagonal values zero (at scale 0, i.e. the absolute floor)."""
+    """All off-diagonal values of a float spec zero at the absolute floor (scale 0).
+
+    Exact specs take the flag from :func:`_spec_tests` instead.
+    """
     return all(policy.is_zero(x) for x in spec.lower + spec.upper)
 
 
@@ -296,20 +278,27 @@ def classify_complex(
 
     ``report`` is the spec's :func:`toepnorm.normality.check` result.  Both
     witnesses are always tested and reported; a normal non-degenerate spec
-    matching neither raises :class:`TheoremViolation`.
+    matching neither raises :class:`TheoremViolation`.  An exact spec takes
+    the degenerate flag and both pivots p from one :func:`_spec_tests` call,
+    and each witness is the spec's own quotient there: a_-(p+1) / conj(a_(p+1))
+    for type I, a_-(p+1) / a_(N-p) for type II.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
-    if _is_degenerate(spec, policy):
-        return ClassificationResult(Verdict.DEGENERATE, degenerate=True, normality=report)
+    up, lo = spec.upper, spec.lower
     if spec.is_exact:
-        w1, w2 = _exact_witnesses(spec)
+        # A pivot is an index or _NO_FIT; both are _ANY_FIT on a degenerate spec.
+        degenerate, (p1, p2) = _spec_tests(spec, False)
+        alpha0 = None if p1 < 0 else up[p1] / lo[p1].conjugate()
+        beta0 = None if p2 < 0 else up[p2] / lo[-1 - p2]
     else:
-        up, lo = spec.upper, spec.lower
+        degenerate = _is_degenerate(spec, policy)
         w1 = extract_unit_ratio(up, _conj_vec(lo), policy)
         w2 = extract_unit_ratio(up, tuple(reversed(lo)), policy)
-    alpha0 = None if w1 is ANY or w1 is None else w1
-    beta0 = None if w2 is ANY or w2 is None else w2
+        alpha0 = None if w1 is ANY else w1
+        beta0 = None if w2 is ANY else w2
+    if degenerate:
+        return ClassificationResult(Verdict.DEGENERATE, degenerate=True, normality=report)
     if alpha0 is None and beta0 is None:
         raise TheoremViolation(
             "normal spec matched neither structure condition",
@@ -443,16 +432,15 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     )
     up, lo = spec.upper, spec.lower
     scale = 0.0 if spec.is_exact else _vector_scale(up, lo)
-    ok1 = _condition_holds(up, _conj_vec(lo), alpha0, policy, scale)
-    ok2 = _condition_holds(up, tuple(reversed(lo)), beta0, policy, scale)
+    pairs = ((_conj_vec(lo), alpha0), (tuple(reversed(lo)), beta0))
+    ok1, ok2 = (_condition_holds(up, src, c, policy, scale) for src, c in pairs)
     if not ok1 and not ok2:
         raise TheoremViolation(
             "derived witnesses verify neither structure condition",
             spec=spec,
             report=report,
             deviations={
-                "type_I": _max_dev(up, _conj_vec(lo), alpha0),
-                "type_II": _max_dev(up, tuple(reversed(lo)), beta0),
+                name: _max_dev(up, src, c) for name, (src, c) in zip(("type_I", "type_II"), pairs)
             },
         )
     result = ClassificationResult(
@@ -478,18 +466,19 @@ def classify_real(
         raise ValueError("real classification requires real entries")
     if not report.is_normal_fast:
         return RealClassificationResult(Verdict.NOT_NORMAL, frozenset(), normality=report)
-    if _is_degenerate(spec, policy):
-        return RealClassificationResult(
-            Verdict.DEGENERATE, frozenset(), degenerate=True, normality=report
-        )
     up, lo = spec.upper, spec.lower
     rlo = tuple(reversed(lo))
     conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))  # _LABEL_ORDER
     if spec.is_exact:
-        holds = _spec_tests(spec, True)
+        degenerate, holds = _spec_tests(spec, True)
     else:
+        degenerate = _is_degenerate(spec, policy)
         scale = _vector_scale(up, lo)
         holds = [_condition_holds(up, src, f, policy, scale) for src, f in conditions]
+    if degenerate:
+        return RealClassificationResult(
+            Verdict.DEGENERATE, frozenset(), degenerate=True, normality=report
+        )
     labels = frozenset(label for label, ok in zip(_LABEL_ORDER, holds) if ok)
     if not labels:
         raise TheoremViolation(

@@ -67,6 +67,13 @@ class TestExtractUnitRatio:
         bad = (GaussianRational(1), GaussianRational(0, 1))
         assert extract_unit_ratio(bad, den, POLICY) is None
 
+    @pytest.mark.parametrize(
+        "numer, denom, expected", [((2, -4), (2, -4), 1), ((3,), (-3,), -1)]
+    )
+    def test_int_vectors_give_a_fraction(self, numer, denom, expected):
+        got = extract_unit_ratio(numer, denom, POLICY)
+        assert got == expected and type(got) is Fraction
+
     def test_all_zero_means_any(self):
         zeros = (Fraction(0), Fraction(0))
         assert extract_unit_ratio(zeros, zeros, POLICY) is ANY
@@ -137,9 +144,9 @@ def ratio_cases(draw):
 
 
 @st.composite
-def exact_specs(draw):
+def exact_specs(draw, max_n=4):
     """Generated exact specs of every kind, and free exact diagonals."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     if draw(st.booleans()):
         kind = draw(st.sampled_from(list(Kind)))
         return generate(GenRequest(n=n, kind=kind, seed=draw(st.integers(0, 999)), exact=True))
@@ -159,9 +166,14 @@ class TestExactRatioOnIntegers:
     @settings(max_examples=200, deadline=None)
     def test_direct_witnesses_match_reference(self, spec):
         up, lo = spec.upper, spec.lower
-        w1, w2 = classify._exact_witnesses(spec)
-        assert_same_witness(w1, reference_ratio(up, tuple(z.conjugate() for z in lo)))
-        assert_same_witness(w2, reference_ratio(up, tuple(reversed(lo))))
+        res = with_report(classify_complex, spec)
+        if res.verdict is Verdict.DEGENERATE:
+            assert not any(up + lo)
+        elif res.verdict is Verdict.CLASSIFIED:
+            for got, src in ((res.type_I, [z.conjugate() for z in lo]), (res.type_II, lo[::-1])):
+                expected = reference_ratio(up, tuple(src))
+                assert expected is not ANY
+                assert_same_witness(got, expected)
 
     @given(
         st.integers(1, 5),
@@ -408,6 +420,42 @@ class TestProofRoute:
         assert direct.verdict is proved.verdict
         assert direct.type_I == proved.type_I
         assert direct.type_II == proved.type_II
+
+
+def exact_verdicts(spec):
+    """Everything the exact routes decide that neither transform below may change."""
+    report = check(spec, POLICY)
+    direct = classify_complex(spec, POLICY, report)
+    proof, trace = classify_via_proof(spec, POLICY, report)
+    real = classify_real(spec, POLICY, report).labels if spec.is_real else None
+    return (
+        report.is_normal_fast,
+        (direct.verdict, direct.type_I, direct.type_II),
+        real,
+        (proof.verdict, trace.x0, trace.point, trace.alpha0, trace.beta0),
+    )
+
+
+class TestExactInvariance:
+    """Scaling the off-diagonal values by a rational q, or replacing a_0, changes no verdict.
+
+    Each condition a_-k = c * conj(a_k) or a_-k = c * a_(N+1-k) holds for q*a
+    with the same c, normality is homogeneous, and every analysis ignores a_0.
+    """
+
+    @given(
+        exact_specs(max_n=5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        parts,
+        parts,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_diagonal(self, spec, q, re, im):
+        a0 = re if spec.is_real else GaussianRational(re, im)
+        diag = [q * z for z in spec.diag]
+        diag[spec.n] = a0
+        moved = toeplitz.ToeplitzSpec(spec.n, tuple(diag))  # keeps the spec's domain
+        assert exact_verdicts(moved) == exact_verdicts(spec)
 
 
 def full_horner_scan(spec):

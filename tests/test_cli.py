@@ -318,12 +318,50 @@ class TestExactBeyondFloatRange:
         assert code == 0
         strict_json(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("which", ["14", "16"])
+    def test_exact_identities_need_no_float_view(self, spec_file, capsys, which):
+        code = cli.main(["verify-identities", spec_file(exact_big_doc("1e400")), "--which", which])
+        assert code == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert list(doc["results"]) == [which]
+
+    def test_one_float_view_per_request(self, monkeypatch, spec_file, capsys):
+        calls = []
+
+        def counted(spec, _original=toeplitz.ToeplitzSpec.as_approx):
+            calls.append(spec)
+            return _original(spec)
+
+        monkeypatch.setattr(toeplitz.ToeplitzSpec, "as_approx", counted)
+        code = cli.main(["verify-identities", spec_file(exact_big_doc("1e70")), "--which", "all"])
+        assert code == 0 and len(calls) == 1
+
     def test_identities_below_the_bound(self, spec_file, capsys):
         code = cli.main(["verify-identities", spec_file(exact_big_doc("1e70")), "--which", "all"])
         assert code == 0
         doc = strict_json(capsys.readouterr().out)
         assert doc["which"] == ["8", "9", "14", "16"]
         assert all(math.isfinite(x) for x in all_numbers(doc))
+
+
+class TestOneDirectKernelCallPerClassifier:
+    @pytest.mark.parametrize(
+        "kind, classifiers", [(Kind.SYMMETRIC, 2), (Kind.TYPE_I, 1)]  # real: complex + real
+    )
+    def test_classify_both(self, monkeypatch, spec_file, capsys, kind, classifiers):
+        """An exact spec's degenerate flag comes from the kernel, not _is_degenerate."""
+        calls = {"_is_degenerate": 0, "_direct_tests": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(classify, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(classify, name, counted)
+        spec = generate(GenRequest(n=4, kind=kind, seed=1, exact=True))
+        code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
+        assert code == 0 and doc["agree"] and doc["direct"]["verdict"] == "Classified"
+        assert calls == {"_is_degenerate": 0, "_direct_tests": classifiers}
 
 
 class TestOneNormalityCheckPerRequest:
