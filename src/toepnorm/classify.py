@@ -26,17 +26,10 @@ import numpy as np
 
 from .normality import NormalityReport
 from .polyid import eval_at_point, trig_coeffs
-from .scalar import (
-    ScalarPolicy,
-    abs_sq,
-    clear_denominators,
-    rational_unit_circle,
-    scalar_to_json,
-)
-from .toeplitz import ToeplitzSpec, _stack_array
+from .scalar import ScalarPolicy, abs_sq, rational_unit_circle, scalar_to_json
+from .toeplitz import ToeplitzSpec
 
 __all__ = [
-    "ANY",
     "ClassificationResult",
     "ProofTrace",
     "RealClassificationResult",
@@ -47,7 +40,6 @@ __all__ = [
     "classify_complex",
     "classify_real",
     "classify_via_proof",
-    "extract_unit_ratio",
     "trace_to_json",
 ]
 
@@ -88,18 +80,6 @@ class TheoremViolation(RuntimeError):
         self.deviations = dict(deviations or {})
 
 
-class _AnyUnitWitness:
-    """Sentinel: every unit-modulus scalar works (all-zero vectors)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<any unit witness>"
-
-
-ANY = _AnyUnitWitness()
-
-
 @dataclass(frozen=True, eq=False)
 class ClassificationResult:
     verdict: Verdict
@@ -129,10 +109,6 @@ class ProofTrace:
     beta: object = None
     alpha0: object = None
     beta0: object = None
-
-
-def _vector_scale(*vectors) -> float:
-    return float(max((abs(x) for v in vectors for x in v), default=0.0))
 
 
 def _pivot(v) -> int:
@@ -203,34 +179,20 @@ def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> tuple:
     return tests[:, 0] == _ANY_FIT, tests
 
 
-def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
-    """Unit-modulus c with numer[k] = c * denom[k] for all k, if one exists.
+def _label_conditions(lo) -> tuple:
+    """(source, factor) of each real label in _LABEL_ORDER: a_-k = factor * source_k."""
+    rlo = lo[::-1]
+    return ((lo, 1), (lo, -1), (rlo, 1), (rlo, -1))
 
-    Returns the sentinel :data:`ANY` when both vectors are entirely zero,
-    and None when no unit-modulus ratio fits.  Exact vectors are decided by
-    :func:`_ratio_pivots` on one row (the cleared Gaussian integers of
-    :func:`toepnorm.toeplitz._stack_array`); c = numer[p] / denom[p] is
-    formed only for the answer, as a Fraction when both are ints.  Float or
-    complex vectors take c at the :func:`_pivot` entry of denom and verify
-    it everywhere under the policy's tolerance (:func:`_condition_holds`),
-    including the zero-denominator indices (which force numer zero there).
+
+def _float_ratio(numer, denom, policy: ScalarPolicy, scale: float):
+    """Unit-modulus c with numer[k] = c * denom[k] for all k, or None.
+
+    c is taken at the :func:`_pivot` entry of the float vector denom (None
+    where that is zero) and verified everywhere by :func:`_condition_holds`.
     """
-    numer, denom = tuple(numer), tuple(denom)
-    if len(numer) != len(denom) or not numer:
-        raise ValueError("vectors must have equal, nonzero length")
-    if not isinstance(denom[0], (float, complex)):
-        k = len(numer)
-        d = _stack_array(clear_denominators(numer + denom), k)
-        p = int(_ratio_pivots(d[None, :k], d[None, k:])[0])
-        if p < 0:
-            return ANY if p == _ANY_FIT else None
-        a = numer[p]
-        return (Fraction(a) if isinstance(a, int) else a) / denom[p]
-    scale = _vector_scale(numer, denom)
     pivot = _pivot(denom)
     if policy.is_zero(denom[pivot], scale):
-        if all(policy.is_zero(x, scale) for x in numer):
-            return ANY
         return None
     c = numer[pivot] / denom[pivot]
     if not policy.is_unit_modulus(c) or not _condition_holds(numer, denom, c, policy, scale):
@@ -238,29 +200,41 @@ def extract_unit_ratio(numer, denom, policy: ScalarPolicy):
     return c
 
 
-def _spec_tests(spec: ToeplitzSpec, real: bool) -> tuple:
-    """:func:`_direct_tests` of one exact spec's :attr:`ToeplitzSpec.array`.
+def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
+    """The direct route on one spec: (degenerate, tests).
 
-    Returns (degenerate, tests) of its one row, as a bool and a list.
+    tests holds the four label verdicts in _LABEL_ORDER when ``real``, else
+    the type I and type II witnesses, None where none fits.  An exact spec
+    takes both from one :func:`_direct_tests` call on its array, and each
+    witness is the spec's own quotient at the kernel's pivot p:
+    a_-(p+1) / conj(a_(p+1)) for type I, a_-(p+1) / a_(N-p) for type II.
+    A float spec is degenerate when every off-diagonal value is zero at the
+    absolute floor (scale 0); its labels and witnesses are judged at scale
+    ``spec.max_abs()``.
     """
-    n, d = spec.n, spec.array
-    degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
-    return bool(degenerate[0]), tests[0].tolist()
-
-
-def _is_degenerate(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
-    """All off-diagonal values of a float spec zero at the absolute floor (scale 0).
-
-    Exact specs take the flag from :func:`_spec_tests` instead.
-    """
-    return all(policy.is_zero(x) for x in spec.lower + spec.upper)
+    up, lo = spec.upper, spec.lower
+    if spec.is_exact:
+        n, d = spec.n, spec.array
+        degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
+        tests = tests[0].tolist()
+        if not real:
+            p1, p2 = tests
+            tests = [
+                None if p1 < 0 else up[p1] / lo[p1].conjugate(),
+                None if p2 < 0 else up[p2] / lo[-1 - p2],
+            ]
+        return bool(degenerate[0]), tests
+    degenerate = all(policy.is_zero(x) for x in up + lo)
+    scale = spec.max_abs()
+    if real:
+        return degenerate, [
+            _condition_holds(up, src, f, policy, scale) for src, f in _label_conditions(lo)
+        ]
+    return degenerate, [_float_ratio(up, src, policy, scale) for src in (_conj_vec(lo), lo[::-1])]
 
 
 def _max_dev(target, source, factor) -> float:
-    return max(
-        abs(complex(t) - complex(factor) * complex(s))
-        for t, s in zip(target, source)
-    )
+    return max(abs(complex(t) - complex(factor) * complex(s)) for t, s in zip(target, source))
 
 
 def _condition_holds(target, source, factor, policy, scale) -> bool:
@@ -278,25 +252,15 @@ def classify_complex(
 
     ``report`` is the spec's :func:`toepnorm.normality.check` result.  Both
     witnesses are always tested and reported; a normal non-degenerate spec
-    matching neither raises :class:`TheoremViolation`.  An exact spec takes
-    the degenerate flag and both pivots p from one :func:`_spec_tests` call,
-    and each witness is the spec's own quotient there: a_-(p+1) / conj(a_(p+1))
-    for type I, a_-(p+1) / a_(N-p) for type II.
+    matching neither raises :class:`TheoremViolation`.  The degenerate flag
+    and both witnesses come from one :func:`_direct` call: an exact witness
+    is the spec's own quotient at the exact kernel's pivot, a float one the
+    ratio at the largest entry of the denominator vector, verified at
+    scale ``spec.max_abs()``.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
-    up, lo = spec.upper, spec.lower
-    if spec.is_exact:
-        # A pivot is an index or _NO_FIT; both are _ANY_FIT on a degenerate spec.
-        degenerate, (p1, p2) = _spec_tests(spec, False)
-        alpha0 = None if p1 < 0 else up[p1] / lo[p1].conjugate()
-        beta0 = None if p2 < 0 else up[p2] / lo[-1 - p2]
-    else:
-        degenerate = _is_degenerate(spec, policy)
-        w1 = extract_unit_ratio(up, _conj_vec(lo), policy)
-        w2 = extract_unit_ratio(up, tuple(reversed(lo)), policy)
-        alpha0 = None if w1 is ANY else w1
-        beta0 = None if w2 is ANY else w2
+    degenerate, (alpha0, beta0) = _direct(spec, policy, False)
     if degenerate:
         return ClassificationResult(Verdict.DEGENERATE, degenerate=True, normality=report)
     if alpha0 is None and beta0 is None:
@@ -431,7 +395,7 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
     )
     up, lo = spec.upper, spec.lower
-    scale = 0.0 if spec.is_exact else _vector_scale(up, lo)
+    scale = 0.0 if spec.is_exact else spec.max_abs()
     pairs = ((_conj_vec(lo), alpha0), (tuple(reversed(lo)), beta0))
     ok1, ok2 = (_condition_holds(up, src, c, policy, scale) for src, c in pairs)
     if not ok1 and not ok2:
@@ -466,15 +430,7 @@ def classify_real(
         raise ValueError("real classification requires real entries")
     if not report.is_normal_fast:
         return RealClassificationResult(Verdict.NOT_NORMAL, frozenset(), normality=report)
-    up, lo = spec.upper, spec.lower
-    rlo = tuple(reversed(lo))
-    conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))  # _LABEL_ORDER
-    if spec.is_exact:
-        degenerate, holds = _spec_tests(spec, True)
-    else:
-        degenerate = _is_degenerate(spec, policy)
-        scale = _vector_scale(up, lo)
-        holds = [_condition_holds(up, src, f, policy, scale) for src, f in conditions]
+    degenerate, holds = _direct(spec, policy, True)
     if degenerate:
         return RealClassificationResult(
             Verdict.DEGENERATE, frozenset(), degenerate=True, normality=report
@@ -486,8 +442,8 @@ def classify_real(
             spec=spec,
             report=report,
             deviations={
-                label.value: _max_dev(up, src, f)
-                for label, (src, f) in zip(_LABEL_ORDER, conditions)
+                label.value: _max_dev(spec.upper, src, f)
+                for label, (src, f) in zip(_LABEL_ORDER, _label_conditions(spec.lower))
             },
         )
     return RealClassificationResult(Verdict.CLASSIFIED, labels, normality=report)

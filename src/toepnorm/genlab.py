@@ -25,7 +25,6 @@ import numpy as np
 from .classify import (
     _LABEL_ORDER,
     TheoremViolation,
-    Verdict,
     _direct_tests,
     classify_complex,
     classify_real,
@@ -255,9 +254,11 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     counted from its output and never built.  After the walk, two kinds of
     spec are built and go through the per-spec check and classifier, in
     row-major order: those on which the two verdicts disagree, and normal
-    non-degenerate ones the kernel finds no label or witness for.  Any
-    theorem violation, or any scan/oracle disagreement, lands in
-    ``violations``; both are expected to stay empty.
+    non-degenerate ones the kernel finds no label or witness for.  Each
+    lands in ``violations``, expected to stay empty: as a theorem violation
+    where the classifier raises one, else as a scan/oracle disagreement or
+    as a disagreement of the stacked and per-spec direct routes, which run
+    the same kernel.
     """
     values = tuple(req.value_set)
     if not values:
@@ -317,29 +318,17 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
         i, j = divmod(k, len(halves))
         spec = from_diagonals(halves[i] + (0,) + halves[j])
         agree = k not in disagree
-        report = _NORMAL if agree else check(spec, policy)
         try:
-            res = classify(spec, policy, report)
+            classify(spec, policy, _NORMAL if agree else check(spec, policy))
         except TheoremViolation as exc:
-            violations.append({"spec": spec_to_json(spec), "error": str(exc)})
-            continue
-        if not agree:
-            violations.append(
-                {
-                    "spec": spec_to_json(spec),
-                    "error": "element-wise and dense-oracle verdicts disagree",
-                }
-            )
-            continue
-        normal += 1
-        if res.verdict is Verdict.DEGENERATE:
-            degenerate += 1
-            continue
-        classified += 1
-        if req.real_only:
-            counts += [label in res.labels for label in _LABEL_ORDER]
+            error = str(exc)
         else:
-            counts += [res.type_I is not None, res.type_II is not None]
+            error = (
+                "stacked and per-spec direct routes disagree"
+                if agree
+                else "element-wise and dense-oracle verdicts disagree"
+            )
+        violations.append({"spec": spec_to_json(spec), "error": error})
     return EnumReport(
         total=total,
         normal=normal,

@@ -126,12 +126,20 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        d = o.real * o.real + o.imag * o.imag
+        # (e/f + g/h i) / (p/q + r/t i) = (e/f + g/h i)(p/q - r/t i) / |w|^2
+        # with |w|^2 = (p^2 t^2 + r^2 q^2) / (q t)^2: each part is an integer
+        # over f h (p^2 t^2 + r^2 q^2), normalised once as one Fraction.
+        e, f = self.real.numerator, self.real.denominator
+        g, h = self.imag.numerator, self.imag.denominator
+        p, q = o.real.numerator, o.real.denominator
+        r, t = o.imag.numerator, o.imag.denominator
+        pt, rq = p * t, r * q
+        d = pt * pt + rq * rq
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
+        eh, gf, qt, den = e * h, g * f, q * t, f * h * d
         return _of(
-            (self.real * o.real + self.imag * o.imag) / d,
-            (self.imag * o.real - self.real * o.imag) / d,
+            Fraction((eh * pt + gf * rq) * qt, den), Fraction((gf * pt - eh * rq) * qt, den)
         )
 
     def __rtruediv__(self, other):

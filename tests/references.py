@@ -8,7 +8,7 @@ does not collect it.
 from fractions import Fraction
 
 from toepnorm.polyid import eval_at_point, trig_coeffs
-from toepnorm.scalar import GaussianRational
+from toepnorm.scalar import GaussianRational, ScalarPolicy
 from toepnorm.toeplitz import ToeplitzSpec, _comm, _commutator_int, _dense_np
 
 
@@ -111,3 +111,59 @@ def identity8_residual_at_points(spec: ToeplitzSpec, w, z):
         - tw.conjugate() * tz
         + (sw.conjugate() * sz - tw * tz.conjugate()) * phase
     )
+
+
+def gaussian_quotient(z, w) -> GaussianRational:
+    """z / w for exact z and w, by the Fraction formula on their parts.
+
+    The former GaussianRational division: every product, sum and quotient
+    is a normalised Fraction.
+    """
+    zr, zi = (z.real, z.imag) if isinstance(z, GaussianRational) else (Fraction(z), Fraction(0))
+    wr, wi = (w.real, w.imag) if isinstance(w, GaussianRational) else (Fraction(w), Fraction(0))
+    d = wr * wr + wi * wi
+    if d == 0:
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return GaussianRational._of((zr * wr + zi * wi) / d, (zi * wr - zr * wi) / d)
+
+
+def float_unit_ratio(numer, denom, policy: ScalarPolicy):
+    """The former float ratio test: unit-modulus c with numer = c * denom, or None.
+
+    c is the quotient at the largest |denom[k]| (the first on a tie) and
+    must fit every entry at the scale of the largest entry of both vectors.
+    Where denom is zero at that entry no single c is reported: None whether
+    numer vanishes too (every unit c fits) or not (none does).
+    """
+    scale = float(max(abs(x) for x in numer + denom))
+    mags = [abs(x) for x in denom]
+    pivot = mags.index(max(mags))
+    if policy.is_zero(denom[pivot], scale):
+        return None
+    c = numer[pivot] / denom[pivot]
+    if not policy.is_unit_modulus(c):
+        return None
+    if not all(policy.is_zero(t - c * s, scale) for t, s in zip(numer, denom)):
+        return None
+    return c
+
+
+def float_direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
+    """The former float direct route: (degenerate, tests).
+
+    degenerate when every off-diagonal value is zero at the absolute floor.
+    tests are the type I and type II witnesses of :func:`float_unit_ratio`,
+    or when ``real`` the four label conditions a_-k = +-a_k and
+    a_-k = +-a_{N+1-k} in that order, at the scale of the largest entry.
+    """
+    up, lo = spec.upper, spec.lower
+    degenerate = all(policy.is_zero(x) for x in lo + up)
+    if not real:
+        conj = tuple(z.conjugate() for z in lo)
+        return degenerate, [float_unit_ratio(up, src, policy) for src in (conj, lo[::-1])]
+    scale = float(max(abs(x) for x in up + lo))
+    rlo = tuple(reversed(lo))
+    conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))
+    return degenerate, [
+        all(policy.is_zero(t - f * s, scale) for t, s in zip(up, src)) for src, f in conditions
+    ]

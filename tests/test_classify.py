@@ -12,7 +12,6 @@ import hypothesis.strategies as st
 
 from toepnorm import classify, toeplitz
 from toepnorm.classify import (
-    ANY,
     ProofTrace,
     RealLabel,
     TheoremViolation,
@@ -21,7 +20,6 @@ from toepnorm.classify import (
     classify_complex,
     classify_real,
     classify_via_proof,
-    extract_unit_ratio,
     trace_to_json,
 )
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
@@ -35,6 +33,7 @@ from toepnorm.scalar import (
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
+from references import float_direct
 
 POLICY = ScalarPolicy()
 
@@ -46,50 +45,69 @@ def with_report(classifier, spec, policy=POLICY):
     return classifier(spec, policy, check(spec, policy))
 
 
+def ratio_spec(numer, denom):
+    """Type I ratios numer to denom here: a_-k = numer_k, a_k = conj(denom_k)."""
+    return from_diagonals([*reversed(numer), 0, *(z.conjugate() for z in denom)])
+
+
+def direct_ratio(numer, denom):
+    """classify._direct's type I witness of :func:`ratio_spec`."""
+    return classify._direct(ratio_spec(numer, denom), POLICY, False)[1][0]
+
+
 class TestExtractUnitRatio:
+    """The ratio test: exact vectors through classify._direct, float ones through _float_ratio."""
+
     def test_known_witness(self):
         up = (GaussianRational(0, 1), GaussianRational(0, 2))
         den = (GaussianRational(1), GaussianRational(2))
-        assert extract_unit_ratio(up, den, POLICY) == GaussianRational(0, 1)
+        assert direct_ratio(up, den) == GaussianRational(0, 1)
 
     def test_non_unit_ratio_rejected(self):
-        assert extract_unit_ratio((Fraction(2),), (Fraction(1),), POLICY) is None
+        assert direct_ratio((Fraction(2),), (Fraction(1),)) is None
 
     def test_inconsistent_vectors_rejected(self):
         up = (GaussianRational(0, 1), GaussianRational(7))
         den = (GaussianRational(1), GaussianRational(2))
-        assert extract_unit_ratio(up, den, POLICY) is None
+        assert direct_ratio(up, den) is None
 
     def test_zero_denominator_forces_zero_numerator(self):
         num = (GaussianRational(0), GaussianRational(0, 1))
         den = (GaussianRational(0), GaussianRational(1))
-        assert extract_unit_ratio(num, den, POLICY) == GaussianRational(0, 1)
+        assert direct_ratio(num, den) == GaussianRational(0, 1)
         bad = (GaussianRational(1), GaussianRational(0, 1))
-        assert extract_unit_ratio(bad, den, POLICY) is None
+        assert direct_ratio(bad, den) is None
 
     @pytest.mark.parametrize(
         "numer, denom, expected", [((2, -4), (2, -4), 1), ((3,), (-3,), -1)]
     )
     def test_int_vectors_give_a_fraction(self, numer, denom, expected):
-        got = extract_unit_ratio(numer, denom, POLICY)
+        got = direct_ratio(numer, denom)
         assert got == expected and type(got) is Fraction
 
     def test_all_zero_means_any(self):
+        """Every unit c fits two zero vectors: a degenerate spec, reported with no witness."""
         zeros = (Fraction(0), Fraction(0))
-        assert extract_unit_ratio(zeros, zeros, POLICY) is ANY
+        assert classify._direct(ratio_spec(zeros, zeros), POLICY, False) == (True, [None, None])
+        assert classify._float_ratio((0j, 0j), (0j, 0j), POLICY, 0.0) is None
 
     def test_length_validation(self):
+        """_direct relies on the spec's halves being nonempty and of equal length."""
         with pytest.raises(ValueError):
-            extract_unit_ratio((), (), POLICY)
+            from_diagonals([Fraction(1)])
         with pytest.raises(ValueError):
-            extract_unit_ratio((Fraction(1),), (Fraction(1), Fraction(2)), POLICY)
+            from_diagonals([Fraction(1), 0, Fraction(1), Fraction(2)])
 
     def test_approx_tolerates_rounding(self):
         w = 0.6 + 0.8j
         den = (1 + 2j, 3 - 1j)
         num = tuple(w * d * (1 + 3e-12) for d in den)
-        got = extract_unit_ratio(num, den, POLICY)
+        got = classify._float_ratio(num, den, POLICY, max(map(abs, num + den)))
         assert got is not None and abs(got - w) < 1e-9
+
+
+# Answer of the reference ratio tests where both vectors vanish: every unit c fits.
+ANY = object()
 
 
 def reference_ratio(numer, denom):
@@ -158,9 +176,13 @@ class TestExactRatioOnIntegers:
     @given(ratio_cases())
     @settings(max_examples=300, deadline=None)
     def test_extract_matches_reference(self, case):
-        numer, denom = case
-        got = extract_unit_ratio(numer, denom, POLICY)
-        assert_same_witness(got, reference_ratio(numer, denom))
+        """_direct's type I witness, on the spec's own canonical entries."""
+        spec = ratio_spec(*case)
+        up, lo = spec.upper, spec.lower
+        degenerate, (got, _) = classify._direct(spec, POLICY, False)
+        expected = reference_ratio(up, tuple(z.conjugate() for z in lo))
+        assert degenerate == (expected is ANY)
+        assert_same_witness(got, None if expected is ANY else expected)
 
     @given(exact_specs())
     @settings(max_examples=200, deadline=None)
@@ -199,6 +221,45 @@ class TestExactRatioOnIntegers:
             assert res.labels == expected and kind.value in {l.value for l in expected}
         else:
             assert res.verdict is Verdict.DEGENERATE and not any(spec.lower)
+
+
+@st.composite
+def float_specs(draw):
+    """Generated float specs of every kind at N 1..64, as drawn or transformed.
+
+    A transformed spec is perturbed by 0.5, 1 or 2 times the threshold at
+    its scale, scaled by 2^k (exactly, down to below the absolute floor),
+    or has its lower or upper half zeroed.
+    """
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(list(Kind)))
+    spec = generate(GenRequest(n=n, kind=kind, seed=draw(st.integers(0, 999))))
+    shape = draw(st.sampled_from(["plain", "perturbed", "scaled", "zero_half"]))
+    if shape == "perturbed":
+        size = draw(st.sampled_from([0.5, 1, 2])) * POLICY.threshold(spec.max_abs())
+        return perturb(spec, size, seed=draw(st.integers(0, 999)))
+    if shape == "scaled":
+        k = draw(st.integers(-60, 60))
+        return from_diagonals([z * 2.0**k for z in spec.diag])
+    if shape == "zero_half":
+        diag = list(spec.diag)
+        half = slice(0, n) if draw(st.booleans()) else slice(n + 1, None)
+        diag[half] = [0j] * n
+        return from_diagonals(diag)
+    return spec
+
+
+class TestFloatDirectRoute:
+    @given(float_specs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_former_float_route(self, spec, real):
+        """classify._direct on a float spec: the former float code's answers, bit for bit."""
+        degenerate, tests = classify._direct(spec, POLICY, real)
+        want_degenerate, want = float_direct(spec, POLICY, real)
+        assert degenerate == want_degenerate
+        assert len(tests) == len(want)
+        for got, expected in zip(tests, want):
+            assert got == expected and type(got) is type(expected)
 
 
 def reference_ratio_pivot(nr, ni, dr, di):

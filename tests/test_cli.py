@@ -344,13 +344,14 @@ class TestExactBeyondFloatRange:
         assert all(math.isfinite(x) for x in all_numbers(doc))
 
 
+@pytest.mark.parametrize(
+    "kind, classifiers", [(Kind.SYMMETRIC, 2), (Kind.TYPE_I, 1)]  # real: complex + real
+)
 class TestOneDirectKernelCallPerClassifier:
-    @pytest.mark.parametrize(
-        "kind, classifiers", [(Kind.SYMMETRIC, 2), (Kind.TYPE_I, 1)]  # real: complex + real
-    )
-    def test_classify_both(self, monkeypatch, spec_file, capsys, kind, classifiers):
-        """An exact spec's degenerate flag comes from the kernel, not _is_degenerate."""
-        calls = {"_is_degenerate": 0, "_direct_tests": 0}
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of the direct route and of its exact kernel, by name."""
+        calls = {"_direct": 0, "_direct_tests": 0}
         for name in calls:
 
             def counted(*args, _name=name, _original=getattr(classify, name)):
@@ -358,10 +359,21 @@ class TestOneDirectKernelCallPerClassifier:
                 return _original(*args)
 
             monkeypatch.setattr(classify, name, counted)
+        return calls
+
+    def test_classify_both(self, calls, spec_file, capsys, kind, classifiers):
+        """Each classifier makes one _direct call, which runs the exact kernel once."""
         spec = generate(GenRequest(n=4, kind=kind, seed=1, exact=True))
         code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
         assert code == 0 and doc["agree"] and doc["direct"]["verdict"] == "Classified"
-        assert calls == {"_is_degenerate": 0, "_direct_tests": classifiers}
+        assert calls == {"_direct": classifiers, "_direct_tests": classifiers}
+
+    def test_float_classify_both(self, calls, spec_file, capsys, kind, classifiers):
+        """A float spec's one _direct call per classifier runs no exact kernel."""
+        spec = generate(GenRequest(n=4, kind=kind, seed=1))
+        code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
+        assert code == 0 and doc["agree"] and doc["direct"]["verdict"] == "Classified"
+        assert calls == {"_direct": classifiers, "_direct_tests": 0}
 
 
 class TestOneNormalityCheckPerRequest:
@@ -444,7 +456,7 @@ class TestOneClearedFormPerSpec:
             calls.append(args)
             return _original(*args)
 
-        for module in (toeplitz, classify, genlab):  # every binding of the name
+        for module in (toeplitz, genlab):  # every binding of the name
             monkeypatch.setattr(module, "_stack_array", counted)
         spec = generate(GenRequest(n=6, kind=Kind.SYMMETRIC, seed=1, exact=True))
         code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
@@ -579,6 +591,26 @@ class TestEnumerate:
         )
         assert code == 0
         assert doc["normal"] == 9 and doc["classified"] == 8
+
+    def test_stacked_kernel_miss_is_a_violation(self, monkeypatch, capsys):
+        """A normal spec the stacked kernel leaves undecided is never counted quietly.
+
+        The per-spec classifier runs the same kernel, so where it decides the
+        spec the two direct routes disagree.
+        """
+
+        def first_row_dropped(up, lo, real, _original=genlab._direct_tests):
+            degenerate, tests = _original(up, lo, real)
+            tests[0] = False if real else classify._NO_FIT
+            return degenerate, tests
+
+        monkeypatch.setattr(genlab, "_direct_tests", first_row_dropped)
+        code, doc, _ = run_cli(["enumerate", "--n", "2", "--values", "int2", "--real"], capsys)
+        assert code == 3
+        assert [v["error"] for v in doc["violations"]] == [
+            "stacked and per-spec direct routes disagree"
+        ]
+        assert doc["normal"] == 80 and doc["classified"] == 79  # 81 and 80 unharmed
 
     def test_budget_exits_2(self, capsys):
         code, _, err = run_cli(

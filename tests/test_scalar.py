@@ -22,6 +22,7 @@ from toepnorm.scalar import (
     scalar_from_json,
     scalar_to_json,
 )
+from references import gaussian_quotient
 
 small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
@@ -130,6 +131,36 @@ def assert_canonical(z, want):
         assert z == z.real and hash(z) == hash(z.real)
         if z.real.denominator == 1:
             assert z == int(z.real) and hash(z) == hash(int(z.real))
+
+
+wide_fractions = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20))
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+divisors = st.one_of(
+    wide_gaussians,
+    gaussians,
+    st.integers(-(10**30), 10**30),
+    wide_fractions,
+    st.sampled_from([0, Fraction(0), GaussianRational(0)]),
+)
+
+
+class TestDivision:
+    """Division on integer numerators and denominators, against the Fraction formula."""
+
+    @given(st.one_of(wide_gaussians, gaussians), divisors, st.booleans())
+    @settings(max_examples=400)
+    def test_matches_former_formula(self, z, other, swap):
+        a, b = (other, z) if swap else (z, other)
+        if b == 0:
+            with pytest.raises(ZeroDivisionError, match="division by zero GaussianRational"):
+                a / b
+            return
+        got, want = a / b, gaussian_quotient(a, b)
+        assert type(got) is GaussianRational
+        assert type(got.real) is Fraction and type(got.imag) is Fraction
+        assert [(x.numerator, x.denominator) for x in (got.real, got.imag)] == [
+            (x.numerator, x.denominator) for x in (want.real, want.imag)
+        ]
 
 
 class TestCanonicalParts:
