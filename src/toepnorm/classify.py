@@ -115,10 +115,10 @@ def _pivot(v) -> int:
     """Index of the largest |v[k]| in a float vector, the first on a tie.
 
     There rounding perturbs a float ratio least.  A zero pivot means an
-    all-zero vector.
+    all-zero vector.  np.hypot of the parts is Python's abs, bit for bit.
     """
-    mags = list(map(abs, v))
-    return mags.index(max(mags))
+    v = np.asarray(v, complex)
+    return int(np.argmax(np.hypot(v.real, v.imag)))
 
 
 # Pivots of _ratio_pivots that are no index: no unit-modulus ratio fits,
@@ -188,16 +188,27 @@ def _label_conditions(lo) -> tuple:
 def _float_ratio(numer, denom, policy: ScalarPolicy, scale: float):
     """Unit-modulus c with numer[k] = c * denom[k] for all k, or None.
 
-    c is taken at the :func:`_pivot` entry of the float vector denom (None
-    where that is zero) and verified everywhere by :func:`_condition_holds`.
+    numer and denom are float vectors, read as complex128 arrays.  c is the
+    Python complex quotient at the :func:`_pivot` entry of denom (None where
+    that is zero), verified everywhere by :func:`_condition_holds`.
     """
+    numer, denom = np.asarray(numer, complex), np.asarray(denom, complex)
     pivot = _pivot(denom)
-    if policy.is_zero(denom[pivot], scale):
+    d = complex(denom[pivot])
+    if policy.is_zero(d, scale):
         return None
-    c = numer[pivot] / denom[pivot]
+    c = complex(numer[pivot]) / d
     if not policy.is_unit_modulus(c) or not _condition_holds(numer, denom, c, policy, scale):
         return None
     return c
+
+
+def _halves(spec: ToeplitzSpec) -> tuple:
+    """(a_-1..a_-N, a_1..a_N): an exact spec's values, or views of a float one's array."""
+    if spec.is_exact:
+        return spec.upper, spec.lower
+    d, n = spec.array, spec.n
+    return d[n - 1 :: -1], d[n + 1 :]
 
 
 def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
@@ -209,10 +220,10 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
     witness is the spec's own quotient at the kernel's pivot p:
     a_-(p+1) / conj(a_(p+1)) for type I, a_-(p+1) / a_(N-p) for type II.
     A float spec is degenerate when every off-diagonal value is zero at the
-    absolute floor (scale 0); its labels and witnesses are judged at scale
-    ``spec.max_abs()``.
+    absolute floor (scale 0); its labels and witnesses are judged on its
+    array at scale ``spec.max_abs()``.
     """
-    up, lo = spec.upper, spec.lower
+    up, lo = _halves(spec)
     if spec.is_exact:
         n, d = spec.n, spec.array
         degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
@@ -224,13 +235,14 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
                 None if p2 < 0 else up[p2] / lo[-1 - p2],
             ]
         return bool(degenerate[0]), tests
-    degenerate = all(policy.is_zero(x) for x in up + lo)
+    d = spec.array  # a_0 is stored as zero, which is zero at every threshold
+    degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
     scale = spec.max_abs()
     if real:
         return degenerate, [
             _condition_holds(up, src, f, policy, scale) for src, f in _label_conditions(lo)
         ]
-    return degenerate, [_float_ratio(up, src, policy, scale) for src in (_conj_vec(lo), lo[::-1])]
+    return degenerate, [_float_ratio(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
 
 
 def _max_dev(target, source, factor) -> float:
@@ -238,11 +250,27 @@ def _max_dev(target, source, factor) -> float:
 
 
 def _condition_holds(target, source, factor, policy, scale) -> bool:
-    return all(policy.is_zero(t - factor * s, scale) for t, s in zip(target, source))
+    """Whether target[k] = factor * source[k] for every k.
+
+    Exact vectors are tuples and must match exactly.  Float ones are
+    complex128 arrays, and each deviation is held to
+    ``policy.threshold(scale)`` with the bits of Python's
+    ``abs(t - factor * s)``: the parts
+    re = t.re - (f.re * s.re - f.im * s.im) and
+    im = t.im - (f.re * s.im + f.im * s.re), then ``np.hypot(re, im)``.
+    numpy's complex128 ``*`` and ``np.abs`` round differently from Python's
+    complex arithmetic in the last bit, so neither may appear here.
+    """
+    if not isinstance(target, np.ndarray):
+        return all(t - factor * s == 0 for t, s in zip(target, source))
+    f = complex(factor)
+    re = target.real - (f.real * source.real - f.imag * source.imag)
+    im = target.imag - (f.real * source.imag + f.imag * source.real)
+    return bool((np.hypot(re, im) <= policy.threshold(scale)).all())
 
 
-def _conj_vec(v) -> tuple:
-    return tuple(z.conjugate() for z in v)
+def _conj_vec(v):
+    return v.conj() if isinstance(v, np.ndarray) else tuple(z.conjugate() for z in v)
 
 
 def classify_complex(
@@ -250,13 +278,15 @@ def classify_complex(
 ) -> ClassificationResult:
     """Direct-route classification: ratio the coefficient vectors.
 
-    ``report`` is the spec's :func:`toepnorm.normality.check` result.  Both
-    witnesses are always tested and reported; a normal non-degenerate spec
-    matching neither raises :class:`TheoremViolation`.  The degenerate flag
-    and both witnesses come from one :func:`_direct` call: an exact witness
-    is the spec's own quotient at the exact kernel's pivot, a float one the
-    ratio at the largest entry of the denominator vector, verified at
-    scale ``spec.max_abs()``.
+    ``report`` is the spec's normality report, of which only
+    ``is_normal_fast`` is read: :func:`toepnorm.normality.check`'s, or the
+    scan-only report the CLI passes.  Both witnesses are always tested and
+    reported; a normal non-degenerate spec matching neither raises
+    :class:`TheoremViolation`.  The degenerate flag and both witnesses come
+    from one :func:`_direct` call: an exact witness is the spec's own
+    quotient at the exact kernel's pivot, a float one the ratio at the
+    largest entry of the denominator vector, verified at scale
+    ``spec.max_abs()``.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
@@ -369,9 +399,11 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     a Horner scan of all M angles picks.  At x0 alpha = s(x0)/t(x0) and
     beta = t(x0)/conj(t(x0)) yield the candidates alpha0 = alpha*beta and
     beta0 = conj(alpha) * w0^{N+1}, which are then verified
-    coefficient-wise.  Returns (result, trace).  ``report`` is the
-    spec's :func:`toepnorm.normality.check` result; a spec it finds not
-    normal is returned as NotNormal with an empty trace.
+    coefficient-wise, on a float spec's array by :func:`_condition_holds`.
+    Returns (result, trace).  Of ``report``, the spec's normality report
+    (from :func:`toepnorm.normality.check` or scan-only), only
+    ``is_normal_fast`` is read; a spec it finds not normal is returned as
+    NotNormal with an empty trace.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report), ProofTrace()
@@ -394,9 +426,9 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
         x0=x0, point=w0, s_at_x0=s0, t_at_x0=t0,
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
     )
-    up, lo = spec.upper, spec.lower
+    up, lo = _halves(spec)
     scale = 0.0 if spec.is_exact else spec.max_abs()
-    pairs = ((_conj_vec(lo), alpha0), (tuple(reversed(lo)), beta0))
+    pairs = ((_conj_vec(lo), alpha0), (lo[::-1], beta0))
     ok1, ok2 = (_condition_holds(up, src, c, policy, scale) for src, c in pairs)
     if not ok1 and not ok2:
         raise TheoremViolation(
@@ -422,9 +454,10 @@ def classify_real(
     """Label a real spec with every +-1 specialization that holds.
 
     Symmetric / SkewSymmetric are alpha0 = +1 / -1; Circulant /
-    SkewCirculant are beta0 = +1 / -1.  ``report`` is the spec's
-    :func:`toepnorm.normality.check` result.  A normal non-degenerate real
-    spec earning no label raises :class:`TheoremViolation`.
+    SkewCirculant are beta0 = +1 / -1.  Of ``report``, the spec's normality
+    report (from :func:`toepnorm.normality.check` or scan-only), only
+    ``is_normal_fast`` is read.  A normal non-degenerate real spec earning
+    no label raises :class:`TheoremViolation`.
     """
     if not spec.is_real:
         raise ValueError("real classification requires real entries")

@@ -10,7 +10,8 @@ both domains, :func:`_table_np`: numpy outer products of the floats or
 cleared Gaussian integers of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`,
 walked in row blocks.  The dense commutator from :mod:`toepnorm.toeplitz` is
 the independent O(N^3) ground truth, and :func:`check` always runs both and
-records whether they agree.  Both verdicts are taken at one threshold on
+records whether they agree; the classifiers need the scan's verdict alone
+(:func:`_scan_report`).  Both verdicts are taken at one threshold on
 the scale N * max|a_k|^2 (:func:`residual_scale`).  The residuals form a
 Hermitian table (r(m, n) = conj(r(n, m))), so failures always come in
 conjugate pairs.
@@ -18,7 +19,7 @@ conjugate pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -139,12 +140,13 @@ def is_normal(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class NormalityReport:
-    """Outcome of the dual normality check.
+    """Outcome of the normality check.
 
     ``max_residual`` and ``oracle_norm`` are exact rationals holding the
     squares when ``exact``, plain floats otherwise.  ``agrees`` records
     whether the element-wise verdict matched the dense-commutator verdict;
-    a disagreement is surfaced, never reconciled.
+    a disagreement is surfaced, never reconciled.  A scan-only report
+    (:func:`_scan_report`) leaves ``oracle_norm`` and ``agrees`` None.
     """
 
     max_residual: object
@@ -153,6 +155,24 @@ class NormalityReport:
     oracle_norm: object
     agrees: bool
     exact: bool
+
+
+def _scan_report(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
+    """The residual scan's verdict as a report, without the oracle.
+
+    ``oracle_norm`` and ``agrees`` are None.  The classifiers read
+    ``is_normal_fast`` alone, so a request that only classifies takes this
+    report; :func:`check` builds on it and adds the oracle.
+    """
+    best, pair = fast_max_residual(spec)
+    return NormalityReport(
+        max_residual=best,
+        worst_pair=pair,
+        is_normal_fast=best <= _threshold(spec, policy),
+        oracle_norm=None,
+        agrees=None,
+        exact=spec.is_exact,
+    )
 
 
 def check(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
@@ -175,24 +195,16 @@ def check(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
     oracle > tau/2.  In exact mode tau = 0, so the oracle (its square) must
     be zero exactly when every residual is.
     """
+    report = _scan_report(spec, policy)
     thresh = _threshold(spec, policy)
-    best, pair = fast_max_residual(spec)
-    fast_ok = best <= thresh
     oracle = commutator_norm(spec)
     if spec.is_exact:
-        agrees = fast_ok == (oracle == 0)
-    elif fast_ok:
+        agrees = report.is_normal_fast == (oracle == 0)
+    elif report.is_normal_fast:
         agrees = oracle <= spec.n * (spec.n + 1) / 2 * thresh
     else:
         agrees = oracle > thresh / 2
-    return NormalityReport(
-        max_residual=best,
-        worst_pair=pair,
-        is_normal_fast=fast_ok,
-        oracle_norm=oracle,
-        agrees=agrees,
-        exact=spec.is_exact,
-    )
+    return replace(report, oracle_norm=oracle, agrees=agrees)
 
 
 def _real_to_json(value, exact: bool):

@@ -86,8 +86,13 @@ class ToeplitzSpec:
         return all(z.imag == 0.0 for z in self.diag)
 
     def max_abs(self) -> float:
-        """max |a_k| over k != 0, as a float (the natural Approx scale)."""
-        return float(max(abs(self.diag[k]) for k in range(2 * self.n + 1) if k != self.n))
+        """max |a_k| over k != 0, as a float (the natural Approx scale), computed once."""
+        return self._max_abs
+
+    @functools.cached_property
+    def _max_abs(self) -> float:
+        n, diag = self.n, self.diag
+        return float(max(map(abs, diag[:n] + diag[n + 1 :])))
 
     def as_approx(self) -> "ToeplitzSpec":
         """The same matrix with every entry converted to complex.

@@ -7,6 +7,7 @@ does not collect it.
 
 from fractions import Fraction
 
+from toepnorm.classify import _best_sample
 from toepnorm.polyid import eval_at_point, trig_coeffs
 from toepnorm.scalar import GaussianRational, ScalarPolicy
 from toepnorm.toeplitz import ToeplitzSpec, _comm, _commutator_int, _dense_np
@@ -127,6 +128,15 @@ def gaussian_quotient(z, w) -> GaussianRational:
     return GaussianRational._of((zr * wr + zi * wi) / d, (zi * wr - zr * wi) / d)
 
 
+def condition_holds(target, source, factor, policy: ScalarPolicy, scale) -> bool:
+    """The former condition test: target[k] = factor * source[k] for every k.
+
+    One ``policy.is_zero`` per entry on Python scalars: Python's complex
+    arithmetic for float vectors, literal equality for exact ones.
+    """
+    return all(policy.is_zero(t - factor * s, scale) for t, s in zip(target, source))
+
+
 def float_unit_ratio(numer, denom, policy: ScalarPolicy):
     """The former float ratio test: unit-modulus c with numer = c * denom, or None.
 
@@ -141,9 +151,7 @@ def float_unit_ratio(numer, denom, policy: ScalarPolicy):
     if policy.is_zero(denom[pivot], scale):
         return None
     c = numer[pivot] / denom[pivot]
-    if not policy.is_unit_modulus(c):
-        return None
-    if not all(policy.is_zero(t - c * s, scale) for t, s in zip(numer, denom)):
+    if not policy.is_unit_modulus(c) or not condition_holds(numer, denom, c, policy, scale):
         return None
     return c
 
@@ -164,6 +172,32 @@ def float_direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
     scale = float(max(abs(x) for x in up + lo))
     rlo = tuple(reversed(lo))
     conditions = ((lo, 1.0), (lo, -1.0), (rlo, 1.0), (rlo, -1.0))
-    return degenerate, [
-        all(policy.is_zero(t - f * s, scale) for t, s in zip(up, src)) for src, f in conditions
+    return degenerate, [condition_holds(up, src, f, policy, scale) for src, f in conditions]
+
+
+def float_proof(spec: ToeplitzSpec, policy: ScalarPolicy) -> tuple:
+    """The former float proof route on a spec taken as normal: (degenerate, witnesses, trace).
+
+    It samples t where the package does (``classify._best_sample``), derives
+    alpha0 and beta0 there and verifies them with :func:`condition_holds` on
+    the spec's own values.  witnesses are [type I, type II], None where the
+    witness fails; trace is (x0, point, s(x0), t(x0), alpha, beta, alpha0,
+    beta0), or None for a degenerate spec.
+    """
+    up, lo = spec.upper, spec.lower
+    scale = float(max(abs(x) for x in up + lo))
+    s, t = trig_coeffs(spec)
+    x0, w0, t0 = _best_sample(spec, t)
+    if policy.is_zero(t0, spec.n * scale):
+        return True, [None, None], None
+    s0 = eval_at_point(s, w0)
+    alpha = s0 / t0
+    beta = t0 / t0.conjugate()
+    alpha0 = alpha * beta
+    beta0 = alpha.conjugate() * w0 ** (spec.n + 1)
+    conj = tuple(z.conjugate() for z in lo)
+    witnesses = [
+        c if condition_holds(up, src, c, policy, scale) else None
+        for src, c in ((conj, alpha0), (tuple(reversed(lo)), beta0))
     ]
+    return False, witnesses, (x0, w0, s0, t0, alpha, beta, alpha0, beta0)

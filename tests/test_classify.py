@@ -3,14 +3,15 @@
 import cmath
 import math
 import random
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from toepnorm import classify, toeplitz
+from toepnorm import classify, normality, toeplitz
 from toepnorm.classify import (
     ProofTrace,
     RealLabel,
@@ -33,7 +34,7 @@ from toepnorm.scalar import (
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
-from references import float_direct
+from references import float_direct, float_proof
 
 POLICY = ScalarPolicy()
 
@@ -223,18 +224,91 @@ class TestExactRatioOnIntegers:
             assert res.verdict is Verdict.DEGENERATE and not any(spec.lower)
 
 
+# Each condition a_-k = f * src_k as (conjugated, reversed, f): src_k is
+# a_(k+1) or a_(N-k), conjugated or not; f is None for the witness the
+# direct route computes (type I, type II), else the label's fixed +-1.
+_CONDITIONS = (
+    (True, False, None),
+    (False, True, None),
+    (False, False, 1),
+    (False, False, -1),
+    (False, True, 1),
+    (False, True, -1),
+)
+
+# Unit witnesses: +-i, or e^(2 pi i j / p) for a prime p, whose parts are
+# generic floats, so f * src_k rounds.
+_UNIT_FACTORS = st.one_of(
+    st.sampled_from([1j, -1j]),
+    st.integers(1, 1_000_002).map(lambda j: cmath.exp(2j * math.pi * j / 1_000_003)),
+)
+
+
+def _at_deviation(p: complex, dev: float):
+    """t with abs(t - p) == dev in Python arithmetic and t.imag = p.imag, or None."""
+    x = p.real + dev
+    for _ in range(8):
+        got = abs(complex(x, p.imag) - p)
+        if got == dev:
+            return complex(x, p.imag)
+        x = math.nextafter(x, math.inf if got < dev else -math.inf)
+    return None
+
+
+@st.composite
+def boundary_cases(draw, n):
+    """(spec, condition, holds): one deviation at the threshold or an ulp off.
+
+    The spec meets _CONDITIONS[condition] except at one entry, and holds
+    tells whether that entry's deviation is within the threshold.
+
+    Every a_-j is f * src_j in Python arithmetic, with src_j of modulus at
+    least 0.7 and f a unit factor (see _UNIT_FACTORS) for the type I and
+    type II conditions, or a label's +-1.  At one k off the pivot, src_k is
+    0.5i / f', f' the factor the direct route tests (the ratio at the pivot
+    for a witness), so f' * src_k has a real part at most a rounding error;
+    a_-k then lies at deviation |a_-k - f' * src_k| of exactly the
+    threshold at the spec's scale, or one ulp below or above it.
+    """
+    rng = random.Random(draw(st.integers(0, 999)))
+    # Half the draws test a computed witness, whose product can round.
+    condition = draw(st.one_of(st.integers(0, 1), st.integers(2, len(_CONDITIONS) - 1)))
+    conjugated, reversed_, f = _CONDITIONS[condition]
+    factor = draw(_UNIT_FACTORS) if f is None else f
+    lo = [complex(rng.choice((-1, 1)) * rng.uniform(0.7, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    src = [z.conjugate() if conjugated else z for z in (lo[::-1] if reversed_ else lo)]
+    up = [factor * z for z in src]
+    mags = [abs(z) for z in src]
+    pivot = mags.index(max(mags))
+    k = draw(st.integers(0, n - 2))
+    k += k >= pivot
+    tested = factor if f is not None else up[pivot] / src[pivot]
+    sigma = 0.5j / tested
+    lo[n - 1 - k if reversed_ else k] = sigma.conjugate() if conjugated else sigma
+    up[k] = 0j
+    scale = from_diagonals([*reversed(up), 0j, *lo]).max_abs()
+    thr = POLICY.threshold(scale)
+    dev = draw(st.sampled_from([thr, math.nextafter(thr, 0), math.nextafter(thr, math.inf)]))
+    up[k] = _at_deviation(tested * sigma, dev)
+    assume(up[k] is not None)
+    return from_diagonals([*reversed(up), 0j, *lo]), condition, dev <= thr
+
+
 @st.composite
 def float_specs(draw):
     """Generated float specs of every kind at N 1..64, as drawn or transformed.
 
     A transformed spec is perturbed by 0.5, 1 or 2 times the threshold at
     its scale, scaled by 2^k (exactly, down to below the absolute floor),
-    or has its lower or upper half zeroed.
+    or has its lower or upper half zeroed.  A boundary spec
+    (:func:`boundary_cases`, N 2..64) puts one deviation at the threshold.
     """
     n = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["plain", "perturbed", "scaled", "zero_half", "boundary"]))
+    if shape == "boundary":
+        return draw(boundary_cases(max(n, 2)))[0]
     kind = draw(st.sampled_from(list(Kind)))
     spec = generate(GenRequest(n=n, kind=kind, seed=draw(st.integers(0, 999))))
-    shape = draw(st.sampled_from(["plain", "perturbed", "scaled", "zero_half"]))
     if shape == "perturbed":
         size = draw(st.sampled_from([0.5, 1, 2])) * POLICY.threshold(spec.max_abs())
         return perturb(spec, size, seed=draw(st.integers(0, 999)))
@@ -260,6 +334,43 @@ class TestFloatDirectRoute:
         assert len(tests) == len(want)
         for got, expected in zip(tests, want):
             assert got == expected and type(got) is type(expected)
+
+    @given(st.integers(2, 64).flatmap(boundary_cases))
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_decided_by_one_ulp(self, case):
+        """A deviation at the threshold passes, one ulp above it fails."""
+        spec, condition, holds = case
+        real = condition >= 2  # the four labels, in _LABEL_ORDER
+        _, tests = classify._direct(spec, POLICY, real)
+        assert (tests[condition - 2] if real else tests[condition] is not None) == holds
+
+
+def assert_same_bits(got, expected):
+    """Equal values of one type; repr tells apart the signs of zeros."""
+    assert type(got) is type(expected) and repr(got) == repr(expected)
+
+
+class TestFloatProofRoute:
+    @given(float_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_former_verification(self, spec):
+        """classify_via_proof on a float spec taken as normal: the former loop's answers, bit for bit."""
+        report = replace(normality._scan_report(spec, POLICY), is_normal_fast=True)
+        degenerate, witnesses, want_trace = float_proof(spec, POLICY)
+        if witnesses == [None, None] and not degenerate:
+            with pytest.raises(TheoremViolation):
+                classify_via_proof(spec, POLICY, report)
+            return
+        result, trace = classify_via_proof(spec, POLICY, report)
+        assert result.degenerate == degenerate
+        assert result.verdict is (Verdict.DEGENERATE if degenerate else Verdict.CLASSIFIED)
+        assert_same_bits(result.type_I, witnesses[0])
+        assert_same_bits(result.type_II, witnesses[1])
+        if degenerate:
+            assert trace.point is None
+        else:
+            for got, expected in zip(astuple(trace), want_trace, strict=True):
+                assert_same_bits(got, expected)
 
 
 def reference_ratio_pivot(nr, ni, dr, di):
@@ -537,7 +648,7 @@ def scaled(spec, k):
 
 
 @st.composite
-def float_specs(draw):
+def sampled_float_specs(draw):
     """Generated specs of every kind, optionally perturbed, scaled by 2^k."""
     n = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**31))
@@ -559,7 +670,7 @@ def single_term_specs(draw):
 
 
 class TestFloatSampleScreen:
-    @given(st.one_of(float_specs(), single_term_specs()))
+    @given(st.one_of(sampled_float_specs(), single_term_specs()))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_horner_scan(self, spec):
         _, t = trig_coeffs(spec)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON documents, tolerance plumbing."""
 
+import importlib
 import io
 import json
 import math
@@ -267,15 +268,13 @@ class TestFloatRange:
         assert code == 2
 
 
-@pytest.fixture
-def check_calls(monkeypatch):
-    """Count normality.check calls through every toepnorm name bound to it."""
+def bound_calls(monkeypatch, original) -> list:
+    """Record the first argument of each call of ``original``, through every toepnorm name bound to it."""
     calls = []
-    original = normality.check
 
-    def counted(spec, policy):
-        calls.append(spec)
-        return original(spec, policy)
+    def counted(first, *args):
+        calls.append(first)
+        return original(first, *args)
 
     for name, module in list(sys.modules.items()):
         if name == "toepnorm" or name.startswith("toepnorm."):
@@ -283,6 +282,12 @@ def check_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The specs of the normality.check calls."""
+    return bound_calls(monkeypatch, normality.check)
 
 
 CIRCULANT_DOC = spec_to_json(generate(GenRequest(n=3, kind=Kind.CIRCULANT, seed=1, exact=True)))
@@ -379,7 +384,7 @@ class TestOneDirectKernelCallPerClassifier:
 class TestOneNormalityCheckPerRequest:
     @pytest.mark.parametrize("doc", [FRACTION_DOC, TYPE1_DOC, CIRCULANT_DOC])
     @pytest.mark.parametrize(
-        "command, expected",
+        "command, reports",
         [
             (["check"], 1),
             (["classify", "--route", "direct"], 1),
@@ -388,10 +393,25 @@ class TestOneNormalityCheckPerRequest:
             (["verify-identities", "--which", "all"], 0),
         ],
     )
-    def test_single_spec_commands(self, spec_file, capsys, check_calls, doc, command, expected):
+    def test_single_spec_commands(self, monkeypatch, spec_file, capsys, doc, command, reports):
+        """Calls per request of each normality layer: report, residual scan, dense oracle.
+
+        ``check`` scans once and runs the oracle once.  ``classify`` on every
+        route takes one scan-only report and never runs the oracle.
+        ``verify-identities`` builds no report; identity 8, and identity 14
+        on a real spec, each take the scan's verdict through
+        ``normality.is_normal``.
+        """
+        report_calls = bound_calls(monkeypatch, normality._scan_report)
+        scan_calls = bound_calls(monkeypatch, normality.fast_max_residual)
+        oracle_calls = bound_calls(monkeypatch, toeplitz.commutator_norm)
         code, _, _ = run_cli([*command, spec_file(doc)], capsys)
         assert code == 0
-        assert len(check_calls) == expected
+        scans = 1
+        if command[0] == "verify-identities" and doc is not TYPE1_DOC:
+            scans = 2
+        oracles = 1 if command == ["check"] else 0
+        assert (len(report_calls), len(scan_calls), len(oracle_calls)) == (reports, scans, oracles)
 
     @pytest.mark.parametrize(
         "argv, specs",
@@ -415,20 +435,8 @@ class TestOneNormalityCheckPerRequest:
 
 @pytest.fixture
 def clear_calls(monkeypatch):
-    """Count scalar.clear_denominators calls through every toepnorm binding."""
-    calls = []
-    original = scalar.clear_denominators
-
-    def counted(values):
-        calls.append(values)
-        return original(values)
-
-    for name, module in list(sys.modules.items()):
-        if name == "toepnorm" or name.startswith("toepnorm."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
+    """The value lists of the scalar.clear_denominators calls."""
+    return bound_calls(monkeypatch, scalar.clear_denominators)
 
 
 class TestOneClearedFormPerSpec:
@@ -721,6 +729,22 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "Classified"
+
+    def test_console_script_entry_point(self, tmp_path, monkeypatch, capsys):
+        """The function pyproject.toml names as the toepnorm script runs check, installed or not."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, _, function = pyproject["project"]["scripts"]["toepnorm"].partition(":")
+        entry_point = getattr(importlib.import_module(module), function)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(FRACTION_DOC))
+        monkeypatch.setattr(sys, "argv", ["toepnorm", "check", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            (GOLDEN / "check_fraction.json").read_text()
+        )
 
     @pytest.mark.skipif(shutil.which("toepnorm") is None, reason="script not on PATH")
     def test_console_script(self, tmp_path):

@@ -24,6 +24,12 @@ from references import commutator, entry, materialize
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
+# Float values whose parts spread over 2^-60..2^60.
+spread_parts = st.builds(
+    lambda m, e: m * 2.0**e, st.floats(-2, 2, allow_subnormal=False), st.integers(-60, 60)
+)
+spread_complex = st.builds(complex, spread_parts, spread_parts)
+
 
 def exact_diags(n):
     count = 2 * n + 1
@@ -103,6 +109,25 @@ class TestAccessors:
     def test_max_abs_skips_a0(self):
         spec = from_diagonals([1, 100, 2])
         assert spec.max_abs() == 2.0
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.one_of(
+                st.lists(spread_complex, min_size=2 * n + 1, max_size=2 * n + 1),
+                st.lists(small_fractions, min_size=2 * n + 1, max_size=2 * n + 1),
+                exact_diags(n),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_max_abs_is_the_same_number_once(self, diag):
+        """The cached max_abs is float(max |a_k|, k != 0) bit for bit, computed once per spec."""
+        spec = from_diagonals(diag)
+        n = spec.n
+        want = float(max(abs(spec.diag[k]) for k in range(2 * n + 1) if k != n))
+        got = spec.max_abs()
+        assert type(got) is float and got.hex() == want.hex()
+        assert spec.max_abs() is got
 
     def test_as_approx(self, fraction_spec):
         twin = fraction_spec.as_approx()
