@@ -63,14 +63,18 @@ _LABEL_ORDER = (
     RealLabel.CIRCULANT,
     RealLabel.SKEW_CIRCULANT,
 )
+_TYPES = ("type_I", "type_II")
 
 
 class TheoremViolation(RuntimeError):
     """A spec passed the normality check yet matched no structure condition.
 
-    Mathematically impossible in exact arithmetic; in approximate mode it
-    can only appear at loose tolerances, so the near-miss deviations per
-    condition are carried along for inspection.
+    Mathematically impossible in exact arithmetic.  In approximate mode
+    loose tolerances reach it, and so does valid input at scale 1e-6 and
+    below: its residuals, products of two entries, fall under the absolute
+    floor while its ratio deviations do not.  ``deviations`` maps each
+    condition to the ``factor`` its verdict tested and one of ``margin``,
+    ``entry`` or ``reason`` (see :class:`_Fit`).
     """
 
     def __init__(self, message, spec=None, report=None, deviations=None):
@@ -109,16 +113,6 @@ class ProofTrace:
     beta: object = None
     alpha0: object = None
     beta0: object = None
-
-
-def _pivot(v) -> int:
-    """Index of the largest |v[k]| in a float vector, the first on a tie.
-
-    There rounding perturbs a float ratio least.  A zero pivot means an
-    all-zero vector.  np.hypot of the parts is Python's abs, bit for bit.
-    """
-    v = np.asarray(v, complex)
-    return int(np.argmax(np.hypot(v.real, v.imag)))
 
 
 # Pivots of _ratio_pivots that are no index: no unit-modulus ratio fits,
@@ -179,28 +173,63 @@ def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> tuple:
     return tests[:, 0] == _ANY_FIT, tests
 
 
-def _label_conditions(lo) -> tuple:
-    """(source, factor) of each real label in _LABEL_ORDER: a_-k = factor * source_k."""
-    rlo = lo[::-1]
-    return ((lo, 1), (lo, -1), (rlo, 1), (rlo, -1))
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """How one condition target_k = factor * source_k fared.
 
-
-def _float_ratio(numer, denom, policy: ScalarPolicy, scale: float):
-    """Unit-modulus c with numer[k] = c * denom[k] for all k, or None.
-
-    numer and denom are float vectors, read as complex128 arrays.  c is the
-    Python complex quotient at the :func:`_pivot` entry of denom (None where
-    that is zero), verified everywhere by :func:`_condition_holds`.
+    factor is the value tested, None where none was formed.  detail is
+    ("margin", m) on float vectors, ("entry", k) on exact ones (k None where
+    it holds) or ("reason", why) where no factor was tested entry by entry.
     """
-    numer, denom = np.asarray(numer, complex), np.asarray(denom, complex)
-    pivot = _pivot(denom)
-    d = complex(denom[pivot])
+
+    factor: object
+    holds: bool
+    detail: tuple
+
+
+def _fit(target, source, factor, policy: ScalarPolicy, scale) -> _Fit:
+    """Test target[k] = factor * source[k] for every k.
+
+    Exact vectors are tuples and must match exactly; the record names the
+    first k that does not.  Float ones are complex128 arrays, and each
+    deviation is held to ``policy.threshold(scale)`` with the bits of
+    Python's ``abs(t - factor * s)``: the parts
+    re = t.re - (f.re * s.re - f.im * s.im) and
+    im = t.im - (f.re * s.im + f.im * s.re), then ``np.hypot(re, im)``.
+    numpy's complex128 ``*`` and ``np.abs`` round differently from Python's
+    complex arithmetic in the last bit, so neither may appear here.  The
+    margin is the largest deviation over the threshold, None where not
+    finite; the verdict never reads it, since the threshold may be 0.
+    """
+    if not isinstance(target, np.ndarray):
+        misses = (k for k, (t, s) in enumerate(zip(target, source)) if t - factor * s != 0)
+        entry = next(misses, None)
+        return _Fit(factor, entry is None, ("entry", entry))
+    f = complex(factor)
+    re = target.real - (f.real * source.real - f.imag * source.imag)
+    im = target.imag - (f.real * source.imag + f.imag * source.real)
+    worst, threshold = np.hypot(re, im).max(), policy.threshold(scale)
+    with np.errstate(all="ignore"):
+        margin = float(worst / threshold)
+    margin = margin if math.isfinite(margin) else None
+    return _Fit(factor, bool(worst <= threshold), ("margin", margin))
+
+
+def _ratio_fit(target, source, policy: ScalarPolicy, scale: float) -> _Fit:
+    """:func:`_fit` of float vectors at c = target[p] / source[p].
+
+    p is the largest |source[p]|, the first on a tie, where rounding
+    perturbs the ratio least (np.hypot of the parts is Python's abs, bit
+    for bit).  A zero source[p] or a c off the unit circle is the reason.
+    """
+    p = int(np.argmax(np.hypot(source.real, source.imag)))
+    d = complex(source[p])
     if policy.is_zero(d, scale):
-        return None
-    c = complex(numer[pivot]) / d
-    if not policy.is_unit_modulus(c) or not _condition_holds(numer, denom, c, policy, scale):
-        return None
-    return c
+        return _Fit(None, False, ("reason", "zero pivot"))
+    c = complex(target[p]) / d
+    if not policy.is_unit_modulus(c):
+        return _Fit(c, False, ("reason", "not unit-modulus"))
+    return _fit(target, source, c, policy, scale)
 
 
 def _halves(spec: ToeplitzSpec) -> tuple:
@@ -212,61 +241,62 @@ def _halves(spec: ToeplitzSpec) -> tuple:
 
 
 def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
-    """The direct route on one spec: (degenerate, tests).
+    """The direct route on one spec: (degenerate, fits).
 
-    tests holds the four label verdicts in _LABEL_ORDER when ``real``, else
-    the type I and type II witnesses, None where none fits.  An exact spec
-    takes both from one :func:`_direct_tests` call on its array, and each
-    witness is the spec's own quotient at the kernel's pivot p:
-    a_-(p+1) / conj(a_(p+1)) for type I, a_-(p+1) / a_(N-p) for type II.
-    A float spec is degenerate when every off-diagonal value is zero at the
-    absolute floor (scale 0); its labels and witnesses are judged on its
-    array at scale ``spec.max_abs()``.
+    fits holds a :class:`_Fit` per condition: the four labels in
+    _LABEL_ORDER when ``real``, else type I and type II.  An exact spec
+    takes both from one :func:`_direct_tests` call on its array; a type I
+    or type II witness is the spec's own quotient at the kernel's pivot p,
+    a_-(p+1) / conj(a_(p+1)) or a_-(p+1) / a_(N-p), and a failing exact
+    condition carries the kernel's verdict as its reason.  A float spec is
+    degenerate when every off-diagonal value is zero at the absolute floor
+    (scale 0); its conditions are fitted on its array at scale
+    ``spec.max_abs()``, the witnesses by :func:`_ratio_fit`.
     """
     up, lo = _halves(spec)
     if spec.is_exact:
         n, d = spec.n, spec.array
         degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
         tests = tests[0].tolist()
-        if not real:
-            p1, p2 = tests
-            tests = [
-                None if p1 < 0 else up[p1] / lo[p1].conjugate(),
-                None if p2 < 0 else up[p2] / lo[-1 - p2],
+        if real:  # a_-k = +-a_k, then a_-k = +-a_{N+1-k}
+            fits = [
+                _Fit(f, ok, ("entry", None) if ok else ("reason", "does not fit"))
+                for f, ok in zip((1, -1) * 2, tests)
             ]
-        return bool(degenerate[0]), tests
+        else:
+            p1, p2 = tests
+            miss = _Fit(None, False, ("reason", "no unit-modulus factor fits"))
+            fits = [
+                miss if p1 < 0 else _Fit(up[p1] / lo[p1].conjugate(), True, ("entry", None)),
+                miss if p2 < 0 else _Fit(up[p2] / lo[-1 - p2], True, ("entry", None)),
+            ]
+        return bool(degenerate[0]), fits
     d = spec.array  # a_0 is stored as zero, which is zero at every threshold
     degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
     scale = spec.max_abs()
     if real:
         return degenerate, [
-            _condition_holds(up, src, f, policy, scale) for src, f in _label_conditions(lo)
+            _fit(up, src, f, policy, scale) for src in (lo, lo[::-1]) for f in (1.0, -1.0)
         ]
-    return degenerate, [_float_ratio(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
+    return degenerate, [_ratio_fit(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
 
 
-def _max_dev(target, source, factor) -> float:
-    return max(abs(complex(t) - complex(factor) * complex(s)) for t, s in zip(target, source))
+def _violation(message: str, spec, report, names, fits) -> TheoremViolation:
+    """The violation of a spec whose fits all fail, reporting each by name.
 
-
-def _condition_holds(target, source, factor, policy, scale) -> bool:
-    """Whether target[k] = factor * source[k] for every k.
-
-    Exact vectors are tuples and must match exactly.  Float ones are
-    complex128 arrays, and each deviation is held to
-    ``policy.threshold(scale)`` with the bits of Python's
-    ``abs(t - factor * s)``: the parts
-    re = t.re - (f.re * s.re - f.im * s.im) and
-    im = t.im - (f.re * s.im + f.im * s.re), then ``np.hypot(re, im)``.
-    numpy's complex128 ``*`` and ``np.abs`` round differently from Python's
-    complex arithmetic in the last bit, so neither may appear here.
+    A factor not formed, or not finite, is null, so the document the CLI
+    prints holds no Infinity or NaN.
     """
-    if not isinstance(target, np.ndarray):
-        return all(t - factor * s == 0 for t, s in zip(target, source))
-    f = complex(factor)
-    re = target.real - (f.real * source.real - f.imag * source.imag)
-    im = target.imag - (f.real * source.imag + f.imag * source.real)
-    return bool((np.hypot(re, im) <= policy.threshold(scale)).all())
+
+    def factor(z):
+        finite = not isinstance(z, (float, complex)) or cmath.isfinite(z)
+        return _scalar_or_null(z) if finite else None
+
+    deviations = {
+        name: {"factor": factor(fit.factor), fit.detail[0]: fit.detail[1]}
+        for name, fit in zip(names, fits)
+    }
+    return TheoremViolation(message, spec=spec, report=report, deviations=deviations)
 
 
 def _conj_vec(v):
@@ -282,43 +312,24 @@ def classify_complex(
     ``is_normal_fast`` is read: :func:`toepnorm.normality.check`'s, or the
     scan-only report the CLI passes.  Both witnesses are always tested and
     reported; a normal non-degenerate spec matching neither raises
-    :class:`TheoremViolation`.  The degenerate flag and both witnesses come
-    from one :func:`_direct` call: an exact witness is the spec's own
-    quotient at the exact kernel's pivot, a float one the ratio at the
+    :class:`TheoremViolation` with both fits.  The degenerate flag and both
+    fits come from one :func:`_direct` call: an exact witness is the spec's
+    own quotient at the exact kernel's pivot, a float one the ratio at the
     largest entry of the denominator vector, verified at scale
     ``spec.max_abs()``.
     """
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
-    degenerate, (alpha0, beta0) = _direct(spec, policy, False)
+    degenerate, fits = _direct(spec, policy, False)
     if degenerate:
         return ClassificationResult(Verdict.DEGENERATE, degenerate=True, normality=report)
-    if alpha0 is None and beta0 is None:
-        raise TheoremViolation(
-            "normal spec matched neither structure condition",
-            spec=spec,
-            report=report,
-            deviations=_near_miss(spec),
-        )
+    if not any(fit.holds for fit in fits):
+        message = "normal spec matched neither structure condition"
+        raise _violation(message, spec, report, _TYPES, fits)
+    alpha0, beta0 = (fit.factor if fit.holds else None for fit in fits)
     return ClassificationResult(
         Verdict.CLASSIFIED, type_I=alpha0, type_II=beta0, normality=report
     )
-
-
-def _near_miss(spec: ToeplitzSpec) -> dict:
-    """Best-effort float deviations of both conditions, for diagnostics."""
-    up = [complex(z) for z in spec.upper]
-    lo = [complex(z) for z in spec.lower]
-    out = {}
-    for name, src in (("type_I", [z.conjugate() for z in lo]), ("type_II", lo[::-1])):
-        pivot = _pivot(src)
-        if src[pivot] == 0:
-            out[name] = None
-            continue
-        c = up[pivot] / src[pivot]
-        c = c / abs(c) if abs(c) else c
-        out[name] = _max_dev(up, src, c)
-    return out
 
 
 def _sample_points(spec: ToeplitzSpec):
@@ -399,7 +410,8 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     a Horner scan of all M angles picks.  At x0 alpha = s(x0)/t(x0) and
     beta = t(x0)/conj(t(x0)) yield the candidates alpha0 = alpha*beta and
     beta0 = conj(alpha) * w0^{N+1}, which are then verified
-    coefficient-wise, on a float spec's array by :func:`_condition_holds`.
+    coefficient-wise by :func:`_fit`, on a float spec's array.  A spec
+    neither verifies raises :class:`TheoremViolation` with both fits.
     Returns (result, trace).  Of ``report``, the spec's normality report
     (from :func:`toepnorm.normality.check` or scan-only), only
     ``is_normal_fast`` is read; a spec it finds not normal is returned as
@@ -429,21 +441,13 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     up, lo = _halves(spec)
     scale = 0.0 if spec.is_exact else spec.max_abs()
     pairs = ((_conj_vec(lo), alpha0), (lo[::-1], beta0))
-    ok1, ok2 = (_condition_holds(up, src, c, policy, scale) for src, c in pairs)
-    if not ok1 and not ok2:
-        raise TheoremViolation(
-            "derived witnesses verify neither structure condition",
-            spec=spec,
-            report=report,
-            deviations={
-                name: _max_dev(up, src, c) for name, (src, c) in zip(("type_I", "type_II"), pairs)
-            },
-        )
+    fits = [_fit(up, src, c, policy, scale) for src, c in pairs]
+    if not any(fit.holds for fit in fits):
+        message = "derived witnesses verify neither structure condition"
+        raise _violation(message, spec, report, _TYPES, fits)
+    type_I, type_II = (fit.factor if fit.holds else None for fit in fits)
     result = ClassificationResult(
-        Verdict.CLASSIFIED,
-        type_I=alpha0 if ok1 else None,
-        type_II=beta0 if ok2 else None,
-        normality=report,
+        Verdict.CLASSIFIED, type_I=type_I, type_II=type_II, normality=report
     )
     return result, trace
 
@@ -457,28 +461,21 @@ def classify_real(
     SkewCirculant are beta0 = +1 / -1.  Of ``report``, the spec's normality
     report (from :func:`toepnorm.normality.check` or scan-only), only
     ``is_normal_fast`` is read.  A normal non-degenerate real spec earning
-    no label raises :class:`TheoremViolation`.
+    no label raises :class:`TheoremViolation` with the four fits.
     """
     if not spec.is_real:
         raise ValueError("real classification requires real entries")
     if not report.is_normal_fast:
         return RealClassificationResult(Verdict.NOT_NORMAL, frozenset(), normality=report)
-    degenerate, holds = _direct(spec, policy, True)
+    degenerate, fits = _direct(spec, policy, True)
     if degenerate:
         return RealClassificationResult(
             Verdict.DEGENERATE, frozenset(), degenerate=True, normality=report
         )
-    labels = frozenset(label for label, ok in zip(_LABEL_ORDER, holds) if ok)
+    labels = frozenset(label for label, fit in zip(_LABEL_ORDER, fits) if fit.holds)
     if not labels:
-        raise TheoremViolation(
-            "normal real spec earned no structure label",
-            spec=spec,
-            report=report,
-            deviations={
-                label.value: _max_dev(spec.upper, src, f)
-                for label, (src, f) in zip(_LABEL_ORDER, _label_conditions(spec.lower))
-            },
-        )
+        names = [label.value for label in _LABEL_ORDER]
+        raise _violation("normal real spec earned no structure label", spec, report, names, fits)
     return RealClassificationResult(Verdict.CLASSIFIED, labels, normality=report)
 
 

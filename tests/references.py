@@ -128,6 +128,11 @@ def gaussian_quotient(z, w) -> GaussianRational:
     return GaussianRational._of((zr * wr + zi * wi) / d, (zi * wr - zr * wi) / d)
 
 
+def max_deviation(target, source, factor) -> float:
+    """The largest abs(t - factor * s) over the entries, in Python's complex arithmetic."""
+    return max(abs(complex(t) - complex(factor) * complex(s)) for t, s in zip(target, source))
+
+
 def condition_holds(target, source, factor, policy: ScalarPolicy, scale) -> bool:
     """The former condition test: target[k] = factor * source[k] for every k.
 

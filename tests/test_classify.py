@@ -34,7 +34,7 @@ from toepnorm.scalar import (
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
-from references import float_direct, float_proof
+from references import condition_holds, float_direct, float_proof, max_deviation
 
 POLICY = ScalarPolicy()
 
@@ -51,13 +51,19 @@ def ratio_spec(numer, denom):
     return from_diagonals([*reversed(numer), 0, *(z.conjugate() for z in denom)])
 
 
+def direct_tests(spec, real):
+    """classify._direct's (degenerate, tests): label verdicts, or witnesses (None: no fit)."""
+    degenerate, fits = classify._direct(spec, POLICY, real)
+    return degenerate, [fit.holds if real else fit.factor if fit.holds else None for fit in fits]
+
+
 def direct_ratio(numer, denom):
     """classify._direct's type I witness of :func:`ratio_spec`."""
-    return classify._direct(ratio_spec(numer, denom), POLICY, False)[1][0]
+    return direct_tests(ratio_spec(numer, denom), False)[1][0]
 
 
 class TestExtractUnitRatio:
-    """The ratio test: exact vectors through classify._direct, float ones through _float_ratio."""
+    """The ratio test through classify._direct, on exact and float vectors."""
 
     def test_known_witness(self):
         up = (GaussianRational(0, 1), GaussianRational(0, 2))
@@ -89,8 +95,8 @@ class TestExtractUnitRatio:
     def test_all_zero_means_any(self):
         """Every unit c fits two zero vectors: a degenerate spec, reported with no witness."""
         zeros = (Fraction(0), Fraction(0))
-        assert classify._direct(ratio_spec(zeros, zeros), POLICY, False) == (True, [None, None])
-        assert classify._float_ratio((0j, 0j), (0j, 0j), POLICY, 0.0) is None
+        assert direct_tests(ratio_spec(zeros, zeros), False) == (True, [None, None])
+        assert direct_tests(ratio_spec((0j, 0j), (0j, 0j)), False) == (True, [None, None])
 
     def test_length_validation(self):
         """_direct relies on the spec's halves being nonempty and of equal length."""
@@ -103,7 +109,7 @@ class TestExtractUnitRatio:
         w = 0.6 + 0.8j
         den = (1 + 2j, 3 - 1j)
         num = tuple(w * d * (1 + 3e-12) for d in den)
-        got = classify._float_ratio(num, den, POLICY, max(map(abs, num + den)))
+        got = direct_ratio(num, den)
         assert got is not None and abs(got - w) < 1e-9
 
 
@@ -180,7 +186,7 @@ class TestExactRatioOnIntegers:
         """_direct's type I witness, on the spec's own canonical entries."""
         spec = ratio_spec(*case)
         up, lo = spec.upper, spec.lower
-        degenerate, (got, _) = classify._direct(spec, POLICY, False)
+        degenerate, (got, _) = direct_tests(spec, False)
         expected = reference_ratio(up, tuple(z.conjugate() for z in lo))
         assert degenerate == (expected is ANY)
         assert_same_witness(got, None if expected is ANY else expected)
@@ -328,7 +334,7 @@ class TestFloatDirectRoute:
     @settings(max_examples=300, deadline=None)
     def test_matches_former_float_route(self, spec, real):
         """classify._direct on a float spec: the former float code's answers, bit for bit."""
-        degenerate, tests = classify._direct(spec, POLICY, real)
+        degenerate, tests = direct_tests(spec, real)
         want_degenerate, want = float_direct(spec, POLICY, real)
         assert degenerate == want_degenerate
         assert len(tests) == len(want)
@@ -341,8 +347,57 @@ class TestFloatDirectRoute:
         """A deviation at the threshold passes, one ulp above it fails."""
         spec, condition, holds = case
         real = condition >= 2  # the four labels, in _LABEL_ORDER
-        _, tests = classify._direct(spec, POLICY, real)
+        _, tests = direct_tests(spec, real)
         assert (tests[condition - 2] if real else tests[condition] is not None) == holds
+
+
+class TestFitRecord:
+    """classify._fit's record against the reference deviation and condition loop."""
+
+    @given(float_specs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_float_margin_is_the_reference_deviation(self, spec, real):
+        """margin is max_deviation / threshold bit for bit; holds is deviation <= threshold."""
+        up, lo = spec.upper, spec.lower
+        conj = tuple(z.conjugate() for z in lo)
+        sources = (lo, lo, lo[::-1], lo[::-1]) if real else (conj, lo[::-1])
+        threshold = POLICY.threshold(spec.max_abs())
+        _, fits = classify._direct(spec, POLICY, real)
+        for fit, src in zip(fits, sources, strict=True):
+            key, value = fit.detail
+            if key == "reason":  # no factor was fitted: the witness's pivot failed first
+                assert not real and not fit.holds
+                assert value in ("zero pivot", "not unit-modulus")
+                assert (fit.factor is None) == (value == "zero pivot")
+                continue
+            deviation = max_deviation(up, src, fit.factor)
+            assert key == "margin" and value.hex() == (deviation / threshold).hex()
+            assert fit.holds == (deviation <= threshold)
+
+    def test_zero_threshold_reads_the_deviation(self):
+        """At threshold 0 a float condition that fits exactly holds, its margin null."""
+        spec = from_diagonals([1.0, 2.0, 0.0, 2.0, 1.0])  # symmetric, nothing else
+        _, fits = classify._direct(spec, ScalarPolicy(0.0, 0.0), True)
+        assert [fit.holds for fit in fits] == [True, False, False, False]
+        assert [fit.detail for fit in fits] == [("margin", None)] * 4
+
+    @given(ratio_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_entry_is_the_first_failure(self, case, data):
+        """entry is the first k where the reference loop fails, None where it never does."""
+        numer, denom = case
+        pivot = next((k for k, d in enumerate(denom) if d != 0), None)
+        ratio = unit_values if pivot is None else st.just(numer[pivot] / denom[pivot])
+        factor = data.draw(ratio | unit_values)
+        fit = classify._fit(numer, denom, factor, POLICY, 0.0)
+        fails = (
+            k
+            for k in range(len(numer))
+            if not condition_holds(numer[k : k + 1], denom[k : k + 1], factor, POLICY, 0.0)
+        )
+        entry = next(fails, None)
+        assert fit.detail == ("entry", entry)
+        assert fit.holds == (entry is None) and fit.factor is factor
 
 
 def assert_same_bits(got, expected):

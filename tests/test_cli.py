@@ -7,8 +7,10 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toepnorm import classify, cli, genlab, normality, scalar, toeplitz
@@ -22,6 +24,7 @@ from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import check
 from toepnorm.scalar import GaussianRational, ScalarPolicy
 from toepnorm.toeplitz import _FLOAT_RANGE, from_diagonals, spec_from_json, spec_to_json
+from doc_set import _wide_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -196,6 +199,140 @@ class TestClassify:
         assert cli.main(["classify", path, "--route", "both"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "classify_symmetric64_both.json").read_text()
+
+
+def forced_normal(monkeypatch):
+    """The scan report the CLI's classify reads calls every spec normal."""
+    original = cli._scan_report
+
+    def normal(spec, policy):
+        return replace(original(spec, policy), is_normal_fast=True)
+
+    monkeypatch.setattr(cli, "_scan_report", normal)
+
+
+def kernel_misses(monkeypatch, real):
+    """The exact direct kernel finds no fit: for the real labels when real, else for both types."""
+    original = classify._direct_tests
+
+    def missed(up, lo, labels_call):
+        degenerate, tests = original(up, lo, labels_call)
+        if labels_call == real:
+            tests = np.zeros_like(tests) if real else np.full_like(tests, classify._NO_FIT)
+        return degenerate, tests
+
+    monkeypatch.setattr(classify, "_direct_tests", missed)
+
+
+def complex_classifies(monkeypatch):
+    """classify_complex passes, so a real spec reaches classify_real."""
+    def classified(spec, policy, report):
+        return ClassificationResult(Verdict.CLASSIFIED)
+
+    monkeypatch.setattr(cli, "classify_complex", classified)
+
+
+FLOAT_MISFIT = [0.5, 1.0, 0.0, 1.0, 1.0]  # a_-1 = a_1 = a_2 = 1, a_-2 = 0.5: no condition fits
+TYPES = ["type_I", "type_II"]
+LABELS = ["Symmetric", "SkewSymmetric", "Circulant", "SkewCirculant"]
+
+
+class TestForcedViolation:
+    """Each TheoremViolation raise site exits 3 with one strict JSON document.
+
+    Per condition the document reports the factor its verdict tested and
+    exactly one of margin (float), entry (exact) or reason.
+    """
+
+    def violation(self, spec_file, capsys, diag, route, flags=()):
+        doc = spec_to_json(from_diagonals(diag))
+        code = cli.main(["classify", spec_file(doc), "--route", route, *flags])
+        out = capsys.readouterr().out
+        assert code == 3
+        doc = strict_json(out)  # one document: json.loads refuses trailing text
+        assert doc["error"] == "theorem-violation"
+        for condition in doc["deviations"].values():
+            assert set(condition) - {"factor"} in ({"margin"}, {"entry"}, {"reason"})
+        return doc["deviations"]
+
+    def test_direct_float(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        got = self.violation(spec_file, capsys, FLOAT_MISFIT, "direct")
+        # The ratio at the largest denominator entry is 1; it misses a_-2 by 0.5.
+        one = {"re": 1.0, "im": 0.0}
+        assert got == {name: {"factor": one, "margin": 0.5 / 1e-10} for name in TYPES}
+
+    def test_direct_exact(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        got = self.violation(spec_file, capsys, [2, 0, 1], "direct")
+        miss = {"factor": None, "reason": "no unit-modulus factor fits"}
+        assert got == {name: miss for name in TYPES}
+
+    def test_direct_exact_beyond_float_range(self, spec_file, capsys, monkeypatch):
+        """The 400-digit type II spec of the document set reports without converting to float."""
+        kernel_misses(monkeypatch, real=False)
+        got = self.violation(spec_file, capsys, _wide_spec(), "direct")
+        miss = {"factor": None, "reason": "no unit-modulus factor fits"}
+        assert got == {name: miss for name in TYPES}
+
+    def test_proof_float(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        got = self.violation(spec_file, capsys, FLOAT_MISFIT, "proof")
+        assert list(got) == TYPES and all(c["margin"] > 1 for c in got.values())
+
+    def test_proof_exact(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        got = self.violation(spec_file, capsys, [2, 0, 1], "proof")
+        assert list(got) == TYPES and all(c["entry"] == 0 for c in got.values())
+        assert all(isinstance(c["factor"]["re"], str) for c in got.values())
+
+    def test_real_float(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        complex_classifies(monkeypatch)
+        got = self.violation(spec_file, capsys, FLOAT_MISFIT, "direct")
+        # a_-2 = 0.5 misses +-a_2 by 0.5 or 1.5; a_-1 = 1 misses -a_1 by 2.
+        margins = [0.5 / 1e-10, 2 / 1e-10, 0.5 / 1e-10, 2 / 1e-10]
+        assert got == {
+            label: {"factor": {"re": f, "im": 0.0}, "margin": m}
+            for label, f, m in zip(LABELS, (1.0, -1.0, 1.0, -1.0), margins)
+        }
+
+    def test_real_exact(self, spec_file, capsys, monkeypatch):
+        forced_normal(monkeypatch)
+        complex_classifies(monkeypatch)
+        got = self.violation(spec_file, capsys, [2, 0, 1], "direct")
+        assert got == {
+            label: {"factor": {"re": f, "im": "0"}, "reason": "does not fit"}
+            for label, f in zip(LABELS, ("1", "-1", "1", "-1"))
+        }
+
+    def test_real_exact_beyond_float_range(self, spec_file, capsys, monkeypatch):
+        kernel_misses(monkeypatch, real=True)
+        big = 10**400 + 7
+        got = self.violation(spec_file, capsys, [big, 0, big], "direct")
+        assert list(got) == LABELS and {c["reason"] for c in got.values()} == {"does not fit"}
+
+    @pytest.mark.parametrize("route", ["direct", "proof"])
+    def test_zero_threshold(self, spec_file, capsys, monkeypatch, route):
+        """At --eps 0 --eps-floor 0 a margin or factor that is not finite is null."""
+        forced_normal(monkeypatch)
+        flags = ("--eps", "0", "--eps-floor", "0")
+        got = self.violation(spec_file, capsys, [1e70, 0.0, 1e-300], route, flags)
+        if route == "direct":  # the ratio 1e70 / 1e-300 overflows
+            assert got == {n: {"factor": None, "reason": "not unit-modulus"} for n in TYPES}
+        else:
+            assert all(c["margin"] is None for c in got.values())
+
+    def test_unconstrained_spec_below_the_floor(self, spec_file, capsys):
+        """Valid unconstrained input at scale 2^-24 reaches a violation unforced.
+
+        Its residuals fall under the absolute floor, so the scan calls it
+        normal; the ratios at both pivots are not unit-modulus.
+        """
+        spec = generate(GenRequest(n=3, kind=Kind.UNCONSTRAINED, seed=0, value_scale=2**-24))
+        got = self.violation(spec_file, capsys, list(spec.diag), "direct")
+        assert list(got) == TYPES
+        assert all(c["factor"] and c["reason"] == "not unit-modulus" for c in got.values())
 
 
 class TestVerifyIdentities:
