@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .normality import NormalityReport
+from .normality import _scan_report
 from .polyid import eval_at_point, trig_coeffs
 from .scalar import ScalarPolicy, abs_sq, rational_unit_circle, scalar_to_json
 from .toeplitz import ToeplitzSpec
@@ -251,7 +251,7 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
     condition carries the kernel's verdict as its reason.  A float spec is
     degenerate when every off-diagonal value is zero at the absolute floor
     (scale 0); its conditions are fitted on its array at scale
-    ``spec.max_abs()``, the witnesses by :func:`_ratio_fit`.
+    ``spec.max_abs``, the witnesses by :func:`_ratio_fit`.
     """
     up, lo = _halves(spec)
     if spec.is_exact:
@@ -273,7 +273,7 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
         return bool(degenerate[0]), fits
     d = spec.array  # a_0 is stored as zero, which is zero at every threshold
     degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
-    scale = spec.max_abs()
+    scale = spec.max_abs
     if real:
         return degenerate, [
             _fit(up, src, f, policy, scale) for src in (lo, lo[::-1]) for f in (1.0, -1.0)
@@ -303,21 +303,19 @@ def _conj_vec(v):
     return v.conj() if isinstance(v, np.ndarray) else tuple(z.conjugate() for z in v)
 
 
-def classify_complex(
-    spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport
-) -> ClassificationResult:
+def classify_complex(spec: ToeplitzSpec, policy: ScalarPolicy) -> ClassificationResult:
     """Direct-route classification: ratio the coefficient vectors.
 
-    ``report`` is the spec's normality report, of which only
-    ``is_normal_fast`` is read: :func:`toepnorm.normality.check`'s, or the
-    scan-only report the CLI passes.  Both witnesses are always tested and
-    reported; a normal non-degenerate spec matching neither raises
-    :class:`TheoremViolation` with both fits.  The degenerate flag and both
-    fits come from one :func:`_direct` call: an exact witness is the spec's
-    own quotient at the exact kernel's pivot, a float one the ratio at the
-    largest entry of the denominator vector, verified at scale
-    ``spec.max_abs()``.
+    The residual scan decides normality; the result carries its scan-only
+    report (:func:`toepnorm.normality.check` adds the oracle's verdict).
+    Both witnesses are always tested and reported; a normal non-degenerate
+    spec matching neither raises :class:`TheoremViolation` with both fits.
+    The degenerate flag and both fits come from one :func:`_direct` call: an
+    exact witness is the spec's own quotient at the exact kernel's pivot, a
+    float one the ratio at the largest entry of the denominator vector,
+    verified at scale ``spec.max_abs``.
     """
+    report = _scan_report(spec, policy)
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report)
     degenerate, fits = _direct(spec, policy, False)
@@ -398,7 +396,7 @@ def _best_sample(spec: ToeplitzSpec, t):
     return best
 
 
-def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport):
+def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy):
     """Constructive route: derive both witnesses from one good sample of t.
 
     Takes x0 maximizing |t| over M = 4(N+1) sample points, the first on a
@@ -412,16 +410,16 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     beta0 = conj(alpha) * w0^{N+1}, which are then verified
     coefficient-wise by :func:`_fit`, on a float spec's array.  A spec
     neither verifies raises :class:`TheoremViolation` with both fits.
-    Returns (result, trace).  Of ``report``, the spec's normality report
-    (from :func:`toepnorm.normality.check` or scan-only), only
-    ``is_normal_fast`` is read; a spec it finds not normal is returned as
-    NotNormal with an empty trace.
+    Returns (result, trace); the result carries the scan-only report.  A
+    spec the residual scan finds not normal is returned as NotNormal with an
+    empty trace.
     """
+    report = _scan_report(spec, policy)
     if not report.is_normal_fast:
         return ClassificationResult(Verdict.NOT_NORMAL, normality=report), ProofTrace()
     s, t = trig_coeffs(spec)
     x0, w0, t0 = _best_sample(spec, t)
-    t_scale = 0.0 if spec.is_exact else spec.n * spec.max_abs()
+    t_scale = 0.0 if spec.is_exact else spec.n * spec.max_abs
     if policy.is_zero(t0, t_scale):
         # t vanishes on more points than its degree allows, so t = 0, and
         # normality forces s = 0 with it: everything off-diagonal is zero.
@@ -439,7 +437,7 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
     )
     up, lo = _halves(spec)
-    scale = 0.0 if spec.is_exact else spec.max_abs()
+    scale = 0.0 if spec.is_exact else spec.max_abs
     pairs = ((_conj_vec(lo), alpha0), (lo[::-1], beta0))
     fits = [_fit(up, src, c, policy, scale) for src, c in pairs]
     if not any(fit.holds for fit in fits):
@@ -452,19 +450,18 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy, report: Normali
     return result, trace
 
 
-def classify_real(
-    spec: ToeplitzSpec, policy: ScalarPolicy, report: NormalityReport
-) -> RealClassificationResult:
+def classify_real(spec: ToeplitzSpec, policy: ScalarPolicy) -> RealClassificationResult:
     """Label a real spec with every +-1 specialization that holds.
 
     Symmetric / SkewSymmetric are alpha0 = +1 / -1; Circulant /
-    SkewCirculant are beta0 = +1 / -1.  Of ``report``, the spec's normality
-    report (from :func:`toepnorm.normality.check` or scan-only), only
-    ``is_normal_fast`` is read.  A normal non-degenerate real spec earning
-    no label raises :class:`TheoremViolation` with the four fits.
+    SkewCirculant are beta0 = +1 / -1.  The residual scan decides
+    normality, and the result carries its scan-only report.  A normal
+    non-degenerate real spec earning no label raises
+    :class:`TheoremViolation` with the four fits.
     """
     if not spec.is_real:
         raise ValueError("real classification requires real entries")
+    report = _scan_report(spec, policy)
     if not report.is_normal_fast:
         return RealClassificationResult(Verdict.NOT_NORMAL, frozenset(), normality=report)
     degenerate, fits = _direct(spec, policy, True)

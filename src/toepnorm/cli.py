@@ -37,7 +37,7 @@ from .genlab import (
     enumerate_and_verify,
     generate,
 )
-from .normality import _scan_report, check, fast_max_residual, report_to_json, residual_scale
+from .normality import check, fast_max_residual, report_to_json, residual_scale
 from .polyid import (
     identity16_holds,
     identity14_check,
@@ -152,16 +152,15 @@ def _witnesses_match(a, b, policy) -> bool:
 def _cmd_classify(args) -> int:
     spec = _read_spec(args.input)
     policy = _policy_for(spec, args)
-    report = _scan_report(spec, policy)  # the classifiers read the scan's verdict alone
     real = None
     if args.route in ("direct", "both"):
-        direct = classify_complex(spec, policy, report)
+        direct = classify_complex(spec, policy)
         if spec.is_real:
-            real = classify_real(spec, policy, report)
+            real = classify_real(spec, policy)
     if args.route in ("proof", "both"):
-        proof, trace = classify_via_proof(spec, policy, report)
+        proof, trace = classify_via_proof(spec, policy)
         if args.route == "proof" and spec.is_real:
-            real = classify_real(spec, policy, report)
+            real = classify_real(spec, policy)
     if args.route == "direct":
         _emit(classification_to_json(direct, real))
         _note(f"verdict: {direct.verdict.value}")

@@ -29,7 +29,7 @@ from .classify import (
     classify_complex,
     classify_real,
 )
-from .normality import NormalityReport, _table_np, check
+from .normality import _table_np
 from .scalar import GaussianRational, ScalarPolicy, clear_denominators, rational_unit_circle
 from .toeplitz import (
     ToeplitzSpec,
@@ -216,16 +216,6 @@ def _is_exact_value(v) -> bool:
 # many specs it walks: a few hundred KB at N = 2.
 _BLOCK = 256
 
-# What normality.check returns for every normal exact spec.
-_NORMAL = NormalityReport(
-    max_residual=Fraction(0),
-    worst_pair=(1, 1),
-    is_normal_fast=True,
-    oracle_norm=Fraction(0),
-    agrees=True,
-    exact=True,
-)
-
 
 def _stacked_verdicts(d: np.ndarray, n: int) -> tuple:
     """Scan and oracle normality verdicts for a stack of diagonals.
@@ -252,8 +242,8 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     which finds each degenerate or gives its real labels when
     ``real_only``, otherwise its type I and type II pivots.  They are
     counted from its output and never built.  After the walk, two kinds of
-    spec are built and go through the per-spec check and classifier, in
-    row-major order: those on which the two verdicts disagree, and normal
+    spec are built and go through the per-spec classifier, in row-major
+    order: those on which the two verdicts disagree, and normal
     non-degenerate ones the kernel finds no label or witness for.  Each
     lands in ``violations``, expected to stay empty: as a theorem violation
     where the classifier raises one, else as a scan/oracle disagreement or
@@ -319,7 +309,7 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
         spec = from_diagonals(halves[i] + (0,) + halves[j])
         agree = k not in disagree
         try:
-            classify(spec, policy, _NORMAL if agree else check(spec, policy))
+            classify(spec, policy)
         except TheoremViolation as exc:
             error = str(exc)
         else:

@@ -8,13 +8,14 @@ A Toeplitz matrix is normal iff every residual
 vanishes for 1 <= m, n <= N.  That is an O(N^2) test with one kernel in
 both domains, :func:`_table_np`: numpy outer products of the floats or
 cleared Gaussian integers of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`,
-walked in row blocks.  The dense commutator from :mod:`toepnorm.toeplitz` is
-the independent O(N^3) ground truth, and :func:`check` always runs both and
-records whether they agree; the classifiers need the scan's verdict alone
-(:func:`_scan_report`).  Both verdicts are taken at one threshold on
-the scale N * max|a_k|^2 (:func:`residual_scale`).  The residuals form a
-Hermitian table (r(m, n) = conj(r(n, m))), so failures always come in
-conjugate pairs.
+walked in row blocks.  Each spec object runs it once, whoever asks
+(:attr:`toepnorm.toeplitz.ToeplitzSpec._scan`).  The dense commutator from
+:mod:`toepnorm.toeplitz` is the independent O(N^3) ground truth, and
+:func:`check` always runs both and records whether they agree; the
+classifiers need the scan's verdict alone (:func:`_scan_report`).  Both
+verdicts are taken at one threshold on the scale N * max|a_k|^2
+(:func:`residual_scale`).  The residuals form a Hermitian table
+(r(m, n) = conj(r(n, m))), so failures always come in conjugate pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
 
 def residual_scale(spec: ToeplitzSpec) -> float:
     """N * max|a_k|^2, the natural magnitude of one residual (0 when exact)."""
-    return 0.0 if spec.is_exact else spec.n * spec.max_abs() ** 2
+    return 0.0 if spec.is_exact else spec.n * spec.max_abs ** 2
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,7 +114,8 @@ def fast_max_residual(spec: ToeplitzSpec):
     max(1, 4096 // N) rows; each block's first maximum replaces the running
     one only when strictly larger, so the value and pair are those of one
     scan over the whole table.  An exact spec's table holds its residuals
-    times L^2, L the denominator of :attr:`ToeplitzSpec.cleared`.
+    times L^2, L the denominator of :attr:`ToeplitzSpec.cleared`.  Every
+    call scans; the verdicts read the spec's cached :attr:`ToeplitzSpec._scan`.
     """
     d, N = spec.array, spec.n
     pick, best, pair = (_pick_exact, 0, (1, 1)) if spec.is_exact else (_pick_float, -1.0, None)
@@ -135,7 +137,7 @@ def _threshold(spec: ToeplitzSpec, policy: ScalarPolicy):
 
 def is_normal(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
     """The element-wise verdict alone: every residual within the threshold."""
-    return fast_max_residual(spec)[0] <= _threshold(spec, policy)
+    return spec._scan[0] <= _threshold(spec, policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +162,11 @@ class NormalityReport:
 def _scan_report(spec: ToeplitzSpec, policy: ScalarPolicy) -> NormalityReport:
     """The residual scan's verdict as a report, without the oracle.
 
-    ``oracle_norm`` and ``agrees`` are None.  The classifiers read
-    ``is_normal_fast`` alone, so a request that only classifies takes this
-    report; :func:`check` builds on it and adds the oracle.
+    ``oracle_norm`` and ``agrees`` are None.  The classifiers take this
+    report and read ``is_normal_fast`` alone; :func:`check` builds on it and
+    adds the oracle.
     """
-    best, pair = fast_max_residual(spec)
+    best, pair = spec._scan
     return NormalityReport(
         max_residual=best,
         worst_pair=pair,

@@ -84,15 +84,13 @@ def reciprocal(p: CoeffPoly) -> CoeffPoly:
 def poly_mul(p: CoeffPoly, q: CoeffPoly) -> CoeffPoly:
     """Convolution product; degree offsets add (still no low-order terms).
 
-    Float coefficients convolve in numpy; exact ones keep the Python loop.
+    One numpy convolution in both domains: float coefficients in float64,
+    all others as Python objects, so Fractions stay exact and ints never
+    wrap.
     """
-    if isinstance(p.coeffs[0], float) and isinstance(q.coeffs[0], float):
-        out = np.convolve(p.coeffs, q.coeffs).tolist()
-    else:
-        out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(p.coeffs):
-            for j, b in enumerate(q.coeffs):
-                out[i + j] = out[i + j] + a * b
+    floats = isinstance(p.coeffs[0], float) and isinstance(q.coeffs[0], float)
+    dtype = float if floats else object
+    out = np.convolve(np.array(p.coeffs, dtype), np.array(q.coeffs, dtype)).tolist()
     return CoeffPoly(tuple(out), POS, p.degree_offset + q.degree_offset)
 
 

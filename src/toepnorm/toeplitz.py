@@ -85,12 +85,9 @@ class ToeplitzSpec:
             return isinstance(self.diag[0], Fraction)
         return all(z.imag == 0.0 for z in self.diag)
 
+    @functools.cached_property
     def max_abs(self) -> float:
         """max |a_k| over k != 0, as a float (the natural Approx scale), computed once."""
-        return self._max_abs
-
-    @functools.cached_property
-    def _max_abs(self) -> float:
         n, diag = self.n, self.diag
         return float(max(map(abs, diag[:n] + diag[n + 1 :])))
 
@@ -139,6 +136,17 @@ class ToeplitzSpec:
             d[n] = 0
         d.flags.writeable = False
         return d
+
+    @functools.cached_property
+    def _scan(self) -> tuple:
+        """The residual scan's (max residual, worst pair), run once per spec.
+
+        :func:`toepnorm.normality.fast_max_residual` is the kernel; every
+        normality verdict on this spec reads this one result.
+        """
+        from . import normality  # normality imports this module
+
+        return normality.fast_max_residual(self)
 
 
 _SCALAR_TYPES = (int, Fraction, GaussianRational, float, complex)

@@ -7,6 +7,8 @@ does not collect it.
 
 from fractions import Fraction
 
+import numpy as np
+
 from toepnorm.classify import _best_sample
 from toepnorm.polyid import eval_at_point, trig_coeffs
 from toepnorm.scalar import GaussianRational, ScalarPolicy
@@ -112,6 +114,26 @@ def identity8_residual_at_points(spec: ToeplitzSpec, w, z):
         - tw.conjugate() * tz
         + (sw.conjugate() * sz - tw * tz.conjugate()) * phase
     )
+
+
+def poly_mul_former(a, b) -> list:
+    """The former polyid.poly_mul on two coefficient sequences.
+
+    float64 ``np.convolve`` when both start with a float, else the Python
+    double loop in index order.
+    """
+    if isinstance(a[0], float) and isinstance(b[0], float):
+        return np.convolve(a, b).tolist()
+    return poly_mul_loop(a, b)
+
+
+def poly_mul_loop(a, b) -> list:
+    """The convolution of two coefficient sequences by the plain double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def gaussian_quotient(z, w) -> GaussianRational:

@@ -85,8 +85,8 @@ def _real_census(n, shared_cache):
     for combo in itertools.product(INT2, repeat=2 * n):
         counts["total"] += 1
         spec = from_diagonals(combo[:n] + (Fraction(0),) + combo[n:])
-        res = classify_real(spec, POLICY, check(spec, POLICY))
-        assert res.normality.agrees
+        assert check(spec, POLICY).agrees
+        res = classify_real(spec, POLICY)
         if res.verdict is Verdict.NOT_NORMAL:
             continue
         counts["normal"] += 1
@@ -166,7 +166,7 @@ def test_criterion_4_generator_soundness(shared_cache):
     approx, exact = _criterion_4_corpora()
     for spec in approx:
         norm = commutator_norm(spec)
-        assert norm <= 1e-10 * spec.n * spec.max_abs() ** 2, spec
+        assert norm <= 1e-10 * spec.n * spec.max_abs ** 2, spec
     for spec in exact:
         assert commutator_norm(spec) == 0, spec
         value, _ = fast_max_residual(spec)
@@ -177,9 +177,8 @@ def test_criterion_4_generator_soundness(shared_cache):
 
 
 def _routes_agree(spec, policy):
-    report = check(spec, policy)
-    direct = classify_complex(spec, policy, report)
-    proved, _ = classify_via_proof(spec, policy, report)
+    direct = classify_complex(spec, policy)
+    proved, _ = classify_via_proof(spec, policy)
     if direct.verdict is not proved.verdict:
         return False
     for a, b in ((direct.type_I, proved.type_I), (direct.type_II, proved.type_II)):
@@ -242,7 +241,7 @@ def test_criterion_6_identity_suite(shared_cache):
     assert abs(eight[5] - identity8_residual(probe, float(xs[5]), float(ys[5]))) <= 1e-12
 
     for spec in shared_cache["criterion4_approx"]:
-        bound = POLICY.threshold(spec.n**2 * spec.max_abs() ** 2)
+        bound = POLICY.threshold(spec.n**2 * spec.max_abs ** 2)
         nine, eight = sampled_residuals(spec)
         assert float(np.max(np.abs(nine))) <= bound, spec
         assert float(np.max(np.abs(eight))) <= bound, spec
@@ -282,7 +281,7 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
     }
     for specs in pools:
         for spec, labels in specs:
-            res = classify_complex(spec, POLICY, check(spec, POLICY))
+            res = classify_complex(spec, POLICY)
             assert res.verdict is Verdict.CLASSIFIED
             for witness in (res.type_I, res.type_II):
                 if witness is not None:
@@ -296,7 +295,7 @@ def test_criterion_7_real_witnesses_are_exactly_plus_minus_one(shared_cache):
     assert seen >= 80
     for n in (2, 3):  # the lone all-zero normal spec stays witness-free
         zero = from_diagonals((Fraction(0),) * (2 * n + 1))
-        res = classify_complex(zero, POLICY, check(zero, POLICY))
+        res = classify_complex(zero, POLICY)
         assert res.verdict is Verdict.DEGENERATE
         assert res.type_I is None and res.type_II is None
     _passed(7, f"complex-route witnesses on {seen} real specs are exactly +-1")

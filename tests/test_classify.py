@@ -5,13 +5,14 @@ import math
 import random
 from dataclasses import astuple, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from toepnorm import classify, normality, toeplitz
+from toepnorm import classify, toeplitz
 from toepnorm.classify import (
     ProofTrace,
     RealLabel,
@@ -41,9 +42,14 @@ POLICY = ScalarPolicy()
 unit_params = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
 
-def with_report(classifier, spec, policy=POLICY):
-    """Run a classifier on the spec's own normality report."""
-    return classifier(spec, policy, check(spec, policy))
+def taken_as_normal():
+    """Within this context the classifiers' scan-only report calls every spec normal."""
+    original = classify._scan_report
+
+    def normal(spec, policy):
+        return replace(original(spec, policy), is_normal_fast=True)
+
+    return mock.patch.object(classify, "_scan_report", normal)
 
 
 def ratio_spec(numer, denom):
@@ -195,7 +201,7 @@ class TestExactRatioOnIntegers:
     @settings(max_examples=200, deadline=None)
     def test_direct_witnesses_match_reference(self, spec):
         up, lo = spec.upper, spec.lower
-        res = with_report(classify_complex, spec)
+        res = classify_complex(spec, POLICY)
         if res.verdict is Verdict.DEGENERATE:
             assert not any(up + lo)
         elif res.verdict is Verdict.CLASSIFIED:
@@ -223,7 +229,7 @@ class TestExactRatioOnIntegers:
             for label, src, f in zip(classify._LABEL_ORDER, sources, factors)
             if all(t - f * x == 0 for t, x in zip(up, src))
         }
-        res = with_report(classify_real, spec)
+        res = classify_real(spec, POLICY)
         if res.verdict is Verdict.CLASSIFIED:
             assert res.labels == expected and kind.value in {l.value for l in expected}
         else:
@@ -292,7 +298,7 @@ def boundary_cases(draw, n):
     sigma = 0.5j / tested
     lo[n - 1 - k if reversed_ else k] = sigma.conjugate() if conjugated else sigma
     up[k] = 0j
-    scale = from_diagonals([*reversed(up), 0j, *lo]).max_abs()
+    scale = from_diagonals([*reversed(up), 0j, *lo]).max_abs
     thr = POLICY.threshold(scale)
     dev = draw(st.sampled_from([thr, math.nextafter(thr, 0), math.nextafter(thr, math.inf)]))
     up[k] = _at_deviation(tested * sigma, dev)
@@ -316,7 +322,7 @@ def float_specs(draw):
     kind = draw(st.sampled_from(list(Kind)))
     spec = generate(GenRequest(n=n, kind=kind, seed=draw(st.integers(0, 999))))
     if shape == "perturbed":
-        size = draw(st.sampled_from([0.5, 1, 2])) * POLICY.threshold(spec.max_abs())
+        size = draw(st.sampled_from([0.5, 1, 2])) * POLICY.threshold(spec.max_abs)
         return perturb(spec, size, seed=draw(st.integers(0, 999)))
     if shape == "scaled":
         k = draw(st.integers(-60, 60))
@@ -361,7 +367,7 @@ class TestFitRecord:
         up, lo = spec.upper, spec.lower
         conj = tuple(z.conjugate() for z in lo)
         sources = (lo, lo, lo[::-1], lo[::-1]) if real else (conj, lo[::-1])
-        threshold = POLICY.threshold(spec.max_abs())
+        threshold = POLICY.threshold(spec.max_abs)
         _, fits = classify._direct(spec, POLICY, real)
         for fit, src in zip(fits, sources, strict=True):
             key, value = fit.detail
@@ -410,13 +416,13 @@ class TestFloatProofRoute:
     @settings(max_examples=200, deadline=None)
     def test_matches_former_verification(self, spec):
         """classify_via_proof on a float spec taken as normal: the former loop's answers, bit for bit."""
-        report = replace(normality._scan_report(spec, POLICY), is_normal_fast=True)
         degenerate, witnesses, want_trace = float_proof(spec, POLICY)
         if witnesses == [None, None] and not degenerate:
-            with pytest.raises(TheoremViolation):
-                classify_via_proof(spec, POLICY, report)
+            with taken_as_normal(), pytest.raises(TheoremViolation):
+                classify_via_proof(spec, POLICY)
             return
-        result, trace = classify_via_proof(spec, POLICY, report)
+        with taken_as_normal():
+            result, trace = classify_via_proof(spec, POLICY)
         assert result.degenerate == degenerate
         assert result.verdict is (Verdict.DEGENERATE if degenerate else Verdict.CLASSIFIED)
         assert_same_bits(result.type_I, witnesses[0])
@@ -562,32 +568,32 @@ class TestStackedDirectKernel:
 
 class TestDirectRoute:
     def test_type1_example(self, type1_spec):
-        res = with_report(classify_complex, type1_spec)
+        res = classify_complex(type1_spec, POLICY)
         assert res.verdict is Verdict.CLASSIFIED
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II is None
         assert not res.degenerate
-        assert res.normality.agrees
+        assert check(type1_spec, POLICY).agrees
 
     def test_not_normal(self, fraction_spec):
-        res = with_report(classify_complex, fraction_spec)
+        res = classify_complex(fraction_spec, POLICY)
         assert res.verdict is Verdict.NOT_NORMAL
         assert res.type_I is None and res.type_II is None
 
     def test_degenerate(self):
         spec = from_diagonals([0, 0, 7, 0, 0])
-        res = with_report(classify_complex, spec)
+        res = classify_complex(spec, POLICY)
         assert res.verdict is Verdict.DEGENERATE
         assert res.degenerate
 
     def test_real_circulant_is_type2(self, circulant_spec):
-        res = with_report(classify_complex, circulant_spec)
+        res = classify_complex(circulant_spec, POLICY)
         assert res.type_I is None
         assert res.type_II == Fraction(1)
 
     def test_n1_both_witnesses(self):
         spec = from_diagonals([GaussianRational(0, 1), 0, 1])
-        res = with_report(classify_complex, spec)
+        res = classify_complex(spec, POLICY)
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II == GaussianRational(0, 1)
 
@@ -596,7 +602,7 @@ class TestDirectRoute:
     def test_witness_round_trip(self, u, seed):
         w = rational_unit_circle(u)
         spec = generate(GenRequest(n=3, kind=Kind.TYPE_I, witness=w, seed=seed, exact=True))
-        res = with_report(classify_complex, spec)
+        res = classify_complex(spec, POLICY)
         assert res.verdict in (Verdict.CLASSIFIED, Verdict.DEGENERATE)
         if res.verdict is Verdict.CLASSIFIED:
             assert res.type_I == w
@@ -604,7 +610,7 @@ class TestDirectRoute:
 
 class TestProofRoute:
     def test_trace_on_type1_example(self, type1_spec):
-        res, trace = with_report(classify_via_proof, type1_spec)
+        res, trace = classify_via_proof(type1_spec, POLICY)
         assert res.verdict is Verdict.CLASSIFIED
         assert res.type_I == GaussianRational(0, 1)
         assert res.type_II is None
@@ -617,23 +623,23 @@ class TestProofRoute:
         assert trace.alpha0 == GaussianRational(0, 1)
 
     def test_trace_on_approx_twin(self, type1_spec_approx):
-        res, trace = with_report(classify_via_proof, type1_spec_approx)
+        res, trace = classify_via_proof(type1_spec_approx, POLICY)
         assert res.verdict is Verdict.CLASSIFIED
         assert abs(res.type_I - 1j) < 1e-9
         assert abs_sq(trace.alpha0) == pytest.approx(1.0)
 
     def test_not_normal_short_circuits(self, fraction_spec):
-        res, trace = with_report(classify_via_proof, fraction_spec)
+        res, trace = classify_via_proof(fraction_spec, POLICY)
         assert res.verdict is Verdict.NOT_NORMAL
         assert trace.point is None
 
     def test_degenerate(self):
-        res, trace = with_report(classify_via_proof, from_diagonals([0, 0, 0]))
+        res, trace = classify_via_proof(from_diagonals([0, 0, 0]), POLICY)
         assert res.verdict is Verdict.DEGENERATE
         assert trace.point is None
 
     def test_palindromic_gets_both(self, palindromic_spec):
-        res, _ = with_report(classify_via_proof, palindromic_spec)
+        res, _ = classify_via_proof(palindromic_spec, POLICY)
         assert res.type_I == Fraction(1)
         assert res.type_II == Fraction(1)
 
@@ -642,8 +648,8 @@ class TestProofRoute:
     def test_agrees_with_direct_route(self, u, seed):
         w = rational_unit_circle(u)
         spec = generate(GenRequest(n=2, kind=Kind.TYPE_II, witness=w, seed=seed, exact=True))
-        direct = with_report(classify_complex, spec)
-        proved, _ = with_report(classify_via_proof, spec)
+        direct = classify_complex(spec, POLICY)
+        proved, _ = classify_via_proof(spec, POLICY)
         assert direct.verdict is proved.verdict
         assert direct.type_I == proved.type_I
         assert direct.type_II == proved.type_II
@@ -651,12 +657,11 @@ class TestProofRoute:
 
 def exact_verdicts(spec):
     """Everything the exact routes decide that neither transform below may change."""
-    report = check(spec, POLICY)
-    direct = classify_complex(spec, POLICY, report)
-    proof, trace = classify_via_proof(spec, POLICY, report)
-    real = classify_real(spec, POLICY, report).labels if spec.is_real else None
+    direct = classify_complex(spec, POLICY)
+    proof, trace = classify_via_proof(spec, POLICY)
+    real = classify_real(spec, POLICY).labels if spec.is_real else None
     return (
-        report.is_normal_fast,
+        direct.normality.is_normal_fast,
         (direct.verdict, direct.type_I, direct.type_II),
         real,
         (proof.verdict, trace.x0, trace.point, trace.alpha0, trace.beta0),
@@ -744,37 +749,37 @@ class TestFloatSampleScreen:
 
         monkeypatch.setattr(classify, "eval_at_point", counted)
         spec = generate(GenRequest(n=128, kind=Kind.TYPE_I, seed=0))
-        res, _ = classify_via_proof(spec, POLICY, check(spec, POLICY))
+        res, _ = classify_via_proof(spec, POLICY)
         assert res.verdict is Verdict.CLASSIFIED
         assert len(calls) <= 3
 
 
 class TestRealRoute:
     def test_single_labels(self, circulant_spec, symmetric_spec):
-        assert with_report(classify_real, circulant_spec).labels == {RealLabel.CIRCULANT}
-        assert with_report(classify_real, symmetric_spec).labels == {RealLabel.SYMMETRIC}
+        assert classify_real(circulant_spec, POLICY).labels == {RealLabel.CIRCULANT}
+        assert classify_real(symmetric_spec, POLICY).labels == {RealLabel.SYMMETRIC}
 
     def test_skew_labels(self):
-        res = with_report(classify_real, from_diagonals([-2, -1, 0, 1, 2]))
+        res = classify_real(from_diagonals([-2, -1, 0, 1, 2]), POLICY)
         assert res.labels == {RealLabel.SKEW_SYMMETRIC}
-        res = with_report(classify_real, from_diagonals([-1, -2, 0, 1, 2]))
+        res = classify_real(from_diagonals([-1, -2, 0, 1, 2]), POLICY)
         assert res.labels == {RealLabel.SKEW_CIRCULANT}
 
     def test_double_label(self, palindromic_spec):
-        res = with_report(classify_real, palindromic_spec)
+        res = classify_real(palindromic_spec, POLICY)
         assert res.labels == {RealLabel.SYMMETRIC, RealLabel.CIRCULANT}
 
     def test_not_normal_and_degenerate(self, fraction_spec):
-        assert with_report(classify_real, fraction_spec).verdict is Verdict.NOT_NORMAL
-        res = with_report(classify_real, from_diagonals([0, 0, 0]))
+        assert classify_real(fraction_spec, POLICY).verdict is Verdict.NOT_NORMAL
+        res = classify_real(from_diagonals([0, 0, 0]), POLICY)
         assert res.verdict is Verdict.DEGENERATE and res.labels == frozenset()
 
     def test_complex_input_rejected(self, type1_spec):
         with pytest.raises(ValueError):
-            with_report(classify_real, type1_spec)
+            classify_real(type1_spec, POLICY)
 
     def test_approx(self, circulant_spec):
-        res = with_report(classify_real, circulant_spec.as_approx())
+        res = classify_real(circulant_spec.as_approx(), POLICY)
         assert res.labels == {RealLabel.CIRCULANT}
 
 
@@ -791,7 +796,7 @@ class TestViolationDiagnostics:
 
 class TestJson:
     def test_classification_document(self, type1_spec):
-        res = with_report(classify_complex, type1_spec)
+        res = classify_complex(type1_spec, POLICY)
         doc = classification_to_json(res)
         assert doc["verdict"] == "Classified"
         assert doc["type_I"] == {"re": "0", "im": "1"}
@@ -800,13 +805,13 @@ class TestJson:
         assert doc["trace"] is None
 
     def test_real_labels_ordered(self, palindromic_spec):
-        res = with_report(classify_complex, palindromic_spec)
-        real = with_report(classify_real, palindromic_spec)
+        res = classify_complex(palindromic_spec, POLICY)
+        real = classify_real(palindromic_spec, POLICY)
         doc = classification_to_json(res, real)
         assert doc["real_labels"] == ["Symmetric", "Circulant"]
 
     def test_trace_document(self, type1_spec):
-        _, trace = with_report(classify_via_proof, type1_spec)
+        _, trace = classify_via_proof(type1_spec, POLICY)
         doc = trace_to_json(trace)
         assert doc["x0"] == 0.0
         assert doc["point"] == {"re": "1", "im": "0"}

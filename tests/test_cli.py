@@ -21,7 +21,6 @@ from toepnorm.classify import (
     classify_complex,
 )
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
-from toepnorm.normality import check
 from toepnorm.scalar import GaussianRational, ScalarPolicy
 from toepnorm.toeplitz import _FLOAT_RANGE, from_diagonals, spec_from_json, spec_to_json
 from doc_set import _wide_spec
@@ -57,6 +56,14 @@ def spec_file(tmp_path):
         return str(path)
 
     return write
+
+
+def diagnostic(err):
+    """The one line on stderr, which holds no traceback."""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
 
 
 def run_cli(args, capsys):
@@ -96,6 +103,19 @@ class TestCheck:
     def test_wrong_shape(self, spec_file, capsys):
         code, _, _ = run_cli(["check", spec_file({"n": 1})], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n", [True, "1", 1.0, 0])
+    def test_order_not_a_positive_integer(self, spec_file, capsys, n):
+        code, out, err = run_cli(["check", spec_file({**FRACTION_DOC, "n": n})], capsys)
+        assert code == 2 and out is None
+        assert diagnostic(err) == f"toepnorm: n must be a positive integer, got {n!r}"
+
+    def test_entry_with_unknown_key_is_named(self, spec_file, capsys):
+        bad = {"re": "1", "xx": "0"}
+        doc = {**FRACTION_DOC, "diag": [*FRACTION_DOC["diag"][:2], bad]}
+        code, out, err = run_cli(["check", spec_file(doc)], capsys)
+        assert code == 2 and out is None
+        assert diagnostic(err) == f"toepnorm: scalar must be an object with keys re/im, got {bad!r}"
 
 
 class TestDeeplyNestedJson:
@@ -161,7 +181,7 @@ class TestClassify:
         assert doc["real_labels"] == ["Circulant"]
 
     def test_violation_exits_3(self, spec_file, capsys, monkeypatch):
-        def boom(spec, policy, report):
+        def boom(spec, policy):
             raise TheoremViolation("forced failure", deviations={"type_I": 1.0})
 
         monkeypatch.setattr(cli, "classify_complex", boom)
@@ -172,7 +192,7 @@ class TestClassify:
         assert "forced failure" in err
 
     def test_route_disagreement_exits_3(self, spec_file, capsys, monkeypatch):
-        def contrarian(spec, policy, report):
+        def contrarian(spec, policy):
             return ClassificationResult(Verdict.NOT_NORMAL), None
 
         monkeypatch.setattr(cli, "classify_via_proof", contrarian)
@@ -202,13 +222,13 @@ class TestClassify:
 
 
 def forced_normal(monkeypatch):
-    """The scan report the CLI's classify reads calls every spec normal."""
-    original = cli._scan_report
+    """The scan-only report the classifiers read calls every spec normal."""
+    original = classify._scan_report
 
     def normal(spec, policy):
         return replace(original(spec, policy), is_normal_fast=True)
 
-    monkeypatch.setattr(cli, "_scan_report", normal)
+    monkeypatch.setattr(classify, "_scan_report", normal)
 
 
 def kernel_misses(monkeypatch, real):
@@ -226,7 +246,7 @@ def kernel_misses(monkeypatch, real):
 
 def complex_classifies(monkeypatch):
     """classify_complex passes, so a real spec reaches classify_real."""
-    def classified(spec, policy, report):
+    def classified(spec, policy):
         return ClassificationResult(Verdict.CLASSIFIED)
 
     monkeypatch.setattr(cli, "classify_complex", classified)
@@ -351,10 +371,12 @@ class TestVerifyIdentities:
         assert doc["results"]["9"]["max_abs"] < 1e-12
 
     def test_real_identity_on_complex_input(self, spec_file, capsys):
-        code, _, _ = run_cli(
-            ["verify-identities", spec_file(TYPE1_DOC), "--which", "16"], capsys
-        )
-        assert code == 2
+        for which in ("14", "16"):
+            code, out, err = run_cli(
+                ["verify-identities", spec_file(TYPE1_DOC), "--which", which], capsys
+            )
+            assert code == 2 and out is None
+            assert diagnostic(err) == f"toepnorm: identity {which} needs a real spec"
 
 
 def float_doc(value, n=1):
@@ -521,7 +543,7 @@ class TestOneDirectKernelCallPerClassifier:
 class TestOneNormalityCheckPerRequest:
     @pytest.mark.parametrize("doc", [FRACTION_DOC, TYPE1_DOC, CIRCULANT_DOC])
     @pytest.mark.parametrize(
-        "command, reports",
+        "command, reports_each",
         [
             (["check"], 1),
             (["classify", "--route", "direct"], 1),
@@ -530,13 +552,14 @@ class TestOneNormalityCheckPerRequest:
             (["verify-identities", "--which", "all"], 0),
         ],
     )
-    def test_single_spec_commands(self, monkeypatch, spec_file, capsys, doc, command, reports):
+    def test_single_spec_commands(self, monkeypatch, spec_file, capsys, doc, command, reports_each):
         """Calls per request of each normality layer: report, residual scan, dense oracle.
 
-        ``check`` scans once and runs the oracle once.  ``classify`` on every
-        route takes one scan-only report and never runs the oracle.
+        Every request scans once: the spec caches its scan.  ``check`` and
+        each classifier it runs (``classify_real`` too on a real spec) take
+        ``reports_each`` scan-only report; only ``check`` runs the oracle.
         ``verify-identities`` builds no report; identity 8, and identity 14
-        on a real spec, each take the scan's verdict through
+        on a real spec, each read the scan's verdict through
         ``normality.is_normal``.
         """
         report_calls = bound_calls(monkeypatch, normality._scan_report)
@@ -544,11 +567,14 @@ class TestOneNormalityCheckPerRequest:
         oracle_calls = bound_calls(monkeypatch, toeplitz.commutator_norm)
         code, _, _ = run_cli([*command, spec_file(doc)], capsys)
         assert code == 0
-        scans = 1
-        if command[0] == "verify-identities" and doc is not TYPE1_DOC:
-            scans = 2
+        takers = 1
+        if command[0] == "classify":
+            takers = (2 if command[-1] == "both" else 1) + (doc is not TYPE1_DOC)
         oracles = 1 if command == ["check"] else 0
-        assert (len(report_calls), len(scan_calls), len(oracle_calls)) == (reports, scans, oracles)
+        assert (len(report_calls), len(scan_calls), len(oracle_calls)) == (
+            reports_each * takers, 1, oracles
+        )
+        assert len({id(spec) for spec in scan_calls + report_calls}) <= 1
 
     @pytest.mark.parametrize(
         "argv, specs",
@@ -627,9 +653,9 @@ class TestOneClearedFormPerSpec:
         classified = []
         for name in ("classify_real", "classify_complex"):
 
-            def recording(spec, policy, report, _original=getattr(genlab, name)):
+            def recording(spec, policy, _original=getattr(genlab, name)):
                 classified.append(spec)
-                return _original(spec, policy, report)
+                return _original(spec, policy)
 
             monkeypatch.setattr(genlab, name, recording)
         code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
@@ -667,7 +693,7 @@ class TestGenerate:
         )
         assert code == 0
         spec = spec_from_json(doc)
-        res = classify_complex(spec, ScalarPolicy(), check(spec, ScalarPolicy()))
+        res = classify_complex(spec, ScalarPolicy())
         assert res.type_I == GaussianRational(0, -1)
 
     def test_bad_scale_exits_2(self, capsys):
@@ -847,12 +873,17 @@ class TestUsageErrors:
             ["bench", "--repeat", "0"],
             ["bench", "--n", "4,x"],
             ["generate", "--kind", "typeI", "--n", "2", "--witness", "not json"],
+            ["bench", "--n", "0"],
+            ["bench", "--n", "0,a"],
         ],
     )
     def test_usage_exits_64(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("toepnorm")]) == 1
 
 
 class TestSubprocess:

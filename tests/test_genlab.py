@@ -60,7 +60,7 @@ class TestGenerate:
     def test_approx_soundness(self, kind):
         spec = generate(GenRequest(n=16, kind=kind, seed=2))
         value, _ = fast_max_residual(spec)
-        assert value <= 1e-10 * spec.n * spec.max_abs() ** 2
+        assert value <= 1e-10 * spec.n * spec.max_abs ** 2
 
     def test_real_kinds_stay_real(self):
         spec = generate(GenRequest(n=3, kind=Kind.SKEW_CIRCULANT, seed=9, exact=True))
@@ -109,9 +109,9 @@ class TestGenerate:
 
     def test_value_scale_bounds_entries(self):
         spec = generate(GenRequest(n=6, kind=Kind.UNCONSTRAINED, seed=3, value_scale=5))
-        assert spec.max_abs() <= 5.0 + 1e-12
+        assert spec.max_abs <= 5.0 + 1e-12
         tiny = generate(GenRequest(n=6, kind=Kind.UNCONSTRAINED, seed=3, value_scale="1/4", exact=True))
-        assert tiny.max_abs() <= 0.25 + 1e-12
+        assert tiny.max_abs <= 0.25 + 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_scale_beyond_float_range_rejected(self, kind):
@@ -177,7 +177,7 @@ class TestPerturb:
         spec = generate(GenRequest(n=4, kind=Kind.TYPE_II, seed=6))
         bumped = perturb(spec, 1e-5, seed=1)
         value, _ = fast_max_residual(bumped)
-        assert value > 1e-10 * bumped.n * bumped.max_abs() ** 2
+        assert value > 1e-10 * bumped.n * bumped.max_abs ** 2
 
 
 class TestEnumerate:
@@ -237,19 +237,18 @@ class TestEnumerate:
         for combo in itertools.product(range(len(values)), repeat=2 * n):
             diag = [values[i] for i in combo]
             spec = from_diagonals(diag[:n] + [0] + diag[n:])
-            report = check(spec, ScalarPolicy())
-            if report.is_normal_fast:
+            if check(spec, ScalarPolicy()).is_normal_fast:
                 row = grid[list(combo)]
-                wants.append((row[n - 1 :: -1].tolist(), row[n:].tolist(), spec, report))
+                wants.append((row[n - 1 :: -1].tolist(), row[n:].tolist(), spec))
         assert len(seen) == len(wants)
-        for (up, lo, degenerate, tests), (want_up, want_lo, spec, report) in zip(seen, wants):
+        for (up, lo, degenerate, tests), (want_up, want_lo, spec) in zip(seen, wants):
             assert up == want_up and lo == want_lo
             if real_only:
-                res = classify.classify_real(spec, ScalarPolicy(), report)
+                res = classify.classify_real(spec, ScalarPolicy())
                 labels = {label for label, ok in zip(classify._LABEL_ORDER, tests) if ok}
                 assert degenerate or labels == res.labels
             else:
-                res = classify.classify_complex(spec, ScalarPolicy(), report)
+                res = classify.classify_complex(spec, ScalarPolicy())
                 assert [p >= 0 for p in tests] == [res.type_I is not None, res.type_II is not None]
             assert degenerate == (res.verdict is Verdict.DEGENERATE)
 
@@ -265,9 +264,9 @@ class TestEnumerate:
         monkeypatch.setattr(toeplitz.ToeplitzSpec, "__post_init__", counting_init)
         for name in ("classify_real", "classify_complex"):
 
-            def recording(spec, policy, report, _original=getattr(genlab, name)):
+            def recording(spec, policy, _original=getattr(genlab, name)):
                 classified.append(spec)
-                return _original(spec, policy, report)
+                return _original(spec, policy)
 
             monkeypatch.setattr(genlab, name, recording)
         for req in (
@@ -335,9 +334,9 @@ def reference_census(req: EnumRequest) -> dict:
         report = normality.check(spec, policy)
         try:
             if req.real_only:
-                res = classify.classify_real(spec, policy, report)
+                res = classify.classify_real(spec, policy)
             else:
-                res = classify.classify_complex(spec, policy, report)
+                res = classify.classify_complex(spec, policy)
         except TheoremViolation as exc:
             violations.append({"spec": spec_to_json(spec), "error": str(exc)})
             continue

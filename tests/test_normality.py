@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from toepnorm import normality
+from toepnorm.classify import classify_complex, classify_real, classify_via_proof
 from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.normality import (
     check,
@@ -137,7 +138,7 @@ def test_table_is_hermitian_exact(spec):
 @settings(max_examples=25, deadline=None)
 def test_table_approx_is_hermitian_to_rounding(spec):
     table = all_residuals(spec.as_approx())
-    scale = max(spec.n * spec.max_abs() ** 2, 1e-30)
+    scale = max(spec.n * spec.max_abs ** 2, 1e-30)
     for (m, n), r in table.items():
         assert abs(r - table[n, m].conjugate()) <= 1e-13 * scale
 
@@ -389,6 +390,39 @@ class TestBlockedScan:
         for start in range(0, n, 3):
             part = normality._table_np(lo, up, slice(start, start + 3))
             assert part.tobytes() == np.ascontiguousarray(whole[:, start : start + 3]).tobytes()
+
+
+class TestOneScanPerSpec:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_every_verdict_reads_one_scan(self, monkeypatch, exact):
+        """check, the classifiers and is_normal on one spec object run the kernel once.
+
+        An equal spec object scans again, and the kernel itself never caches.
+        """
+        calls = []
+
+        def counted(spec, _original=normality.fast_max_residual):
+            calls.append(spec)
+            return _original(spec)
+
+        monkeypatch.setattr(normality, "fast_max_residual", counted)
+        spec = generate(GenRequest(n=5, kind=Kind.SYMMETRIC, seed=2, exact=exact))
+        policy = ScalarPolicy()
+        report = check(spec, policy)
+        results = [
+            classify_complex(spec, policy),
+            classify_real(spec, policy),
+            classify_via_proof(spec, policy)[0],
+        ]
+        for res in results:
+            scan = res.normality
+            assert (scan.max_residual, scan.worst_pair) == (report.max_residual, report.worst_pair)
+            assert scan.is_normal_fast and scan.oracle_norm is None and scan.agrees is None
+        assert is_normal(spec, policy) and report.agrees
+        twin = from_diagonals(spec.diag)
+        assert is_normal(twin, policy)
+        assert normality.fast_max_residual(spec) == (report.max_residual, report.worst_pair)
+        assert [id(s) for s in calls] == [id(spec), id(twin), id(spec)]
 
 
 class TestCheck:

@@ -36,7 +36,7 @@ from toepnorm.scalar import (
     rational_unit_circle,
 )
 from toepnorm.toeplitz import from_diagonals
-from references import identity8_residual_at_points
+from references import identity8_residual_at_points, poly_mul_former, poly_mul_loop
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 coeff_vectors = st.lists(small_fractions, min_size=1, max_size=6)
@@ -72,6 +72,26 @@ class TestCoeffPoly:
         sq = poly_mul(p, p)
         assert sq.coeffs == (Fraction(1), Fraction(4), Fraction(4))
         assert sq.degree_offset == 2
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_poly_mul_matches_former(self, data):
+        """Exact products equal the double loop's in value and type; float ones keep their bits."""
+        scalars = data.draw(
+            st.sampled_from(
+                [
+                    small_fractions,
+                    st.integers(-(2**70), 2**70),
+                    st.builds(GaussianRational, small_fractions, small_fractions),
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                ]
+            )
+        )
+        a, b = (data.draw(st.lists(scalars, min_size=1, max_size=64)) for _ in range(2))
+        got = poly_mul(CoeffPoly(tuple(a), POS), CoeffPoly(tuple(b), POS)).coeffs
+        want = poly_mul_former(a, b)
+        assert list(map(type, got)) == list(map(type, want))
+        assert list(map(repr, got)) == list(map(repr, want))
 
     def test_poly_sub_window_mismatch(self):
         p = CoeffPoly((1, 2), POS)
@@ -172,7 +192,7 @@ class TestProductIdentity:
 
     def test_sampled_zero_on_generated(self):
         spec = generate(GenRequest(n=5, kind=Kind.TYPE_II, seed=11))
-        scale = spec.n**2 * spec.max_abs() ** 2
+        scale = spec.n**2 * spec.max_abs ** 2
         for x in np.linspace(0.0, 2 * math.pi, 5):
             for y in np.linspace(0.0, 2 * math.pi, 5):
                 assert abs(identity8_residual(spec, float(x), float(y))) <= 1e-12 * scale
@@ -221,15 +241,6 @@ class TestRealIdentities:
         assert poly_mul(p, pr).coeffs == poly_mul(q, qr).coeffs
 
 
-def _loop_mul(a, b) -> list:
-    """Convolution by the plain double loop."""
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _reference_identity16(spec, policy):
     """(holds, f1 is zero, f2 is zero) with every product by the double loop."""
     p, q, pr, qr = (c.coeffs for c in alg_polys(spec))
@@ -238,9 +249,9 @@ def _reference_identity16(spec, policy):
     def zero_diff(u, v):
         return all(policy.is_zero(x - y, scale) for x, y in zip(u, v))
 
-    p2 = _loop_mul(p, p)
-    f1, f2 = zero_diff(p2, _loop_mul(q, q)), zero_diff(p2, _loop_mul(qr, qr))
-    return zero_diff(_loop_mul(p, pr), _loop_mul(q, qr)) and (f1 or f2), f1, f2
+    p2 = poly_mul_loop(p, p)
+    f1, f2 = zero_diff(p2, poly_mul_loop(q, q)), zero_diff(p2, poly_mul_loop(qr, qr))
+    return zero_diff(poly_mul_loop(p, pr), poly_mul_loop(q, qr)) and (f1 or f2), f1, f2
 
 
 class TestFloatIdentity16:

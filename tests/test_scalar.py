@@ -61,6 +61,21 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             GaussianRational(1) + complex(1)
 
+    @pytest.mark.parametrize("other", [0.5, complex(1, 1)])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda z, x: z - x,
+            lambda z, x: x - z,
+            lambda z, x: z / x,
+            lambda z, x: x / z,
+            lambda z, x: z**x,
+        ],
+    )
+    def test_inexact_operand_refused_by_every_operator(self, op, other):
+        with pytest.raises(TypeError):
+            op(GaussianRational(1, 2), other)
+
     def test_immutable(self):
         z = GaussianRational(1, 2)
         with pytest.raises(AttributeError):

@@ -108,7 +108,7 @@ class TestAccessors:
 
     def test_max_abs_skips_a0(self):
         spec = from_diagonals([1, 100, 2])
-        assert spec.max_abs() == 2.0
+        assert spec.max_abs == 2.0
 
     @given(
         st.integers(1, 12).flatmap(
@@ -125,9 +125,9 @@ class TestAccessors:
         spec = from_diagonals(diag)
         n = spec.n
         want = float(max(abs(spec.diag[k]) for k in range(2 * n + 1) if k != n))
-        got = spec.max_abs()
+        got = spec.max_abs
         assert type(got) is float and got.hex() == want.hex()
-        assert spec.max_abs() is got
+        assert spec.max_abs is got
 
     def test_as_approx(self, fraction_spec):
         twin = fraction_spec.as_approx()
