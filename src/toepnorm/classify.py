@@ -115,9 +115,8 @@ class ProofTrace:
     beta0: object = None
 
 
-# Pivots of _ratio_pivots that are no index: no unit-modulus ratio fits,
-# or both vectors vanish and every one does.
-_NO_FIT, _ANY_FIT = -1, -2
+# The pivot of a _ratio_pivots row that no unit-modulus ratio fits.
+_NO_FIT = -1
 
 
 def _ratio_pivots(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -126,31 +125,26 @@ def _ratio_pivots(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     A unit-modulus c with num_k = c * den_k for every k exists iff, at the
     first p with den_p != 0, |num_p|^2 = |den_p|^2 (c = num_p / den_p is
     unit-modulus) and num_k * den_p = num_p * den_k for every k (c fits).
-    Returns p for such rows, _ANY_FIT where both rows vanish, else _NO_FIT.
+    Returns p for such rows, else _NO_FIT, also where den is all zero.
     """
     nonzero = den != 0
     p = nonzero.argmax(axis=1)
     rows = np.arange(len(p))
     a, b = num[rows, p], den[rows, p]
     fits = (a * a.conj() == b * b.conj()) & (num * b[:, None] == a[:, None] * den).all(axis=1)
-    return np.where(
-        nonzero.any(axis=1),
-        np.where(fits, p, _NO_FIT),
-        np.where((num != 0).any(axis=1), _NO_FIT, _ANY_FIT),
-    )
+    return np.where(nonzero.any(axis=1) & fits, p, _NO_FIT)
 
 
-def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> tuple:
+def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> np.ndarray:
     """The exact direct route on stacked off-diagonal halves of shape (B, N).
 
     ``up`` holds a_-1..a_-N and ``lo`` a_1..a_N, one spec per row, of one
-    scale.  Returns (degenerate, tests).  When ``real``, tests is (B, 4)
-    bools in _LABEL_ORDER: a_-k = a_k, a_-k = -a_k, a_-k = a_{N+1-k} and
-    a_-k = -a_{N+1-k} for every k.  Otherwise it is (B, 2) pivots of
+    scale.  When ``real``, returns (B, 4) bools in _LABEL_ORDER: a_-k = a_k,
+    a_-k = -a_k, a_-k = a_{N+1-k} and a_-k = -a_{N+1-k} for every k, all
+    true on a row that is zero everywhere.  Otherwise (B, 2) pivots of
     :func:`_ratio_pivots`: type I (up against conj(lo)) and type II (up
-    against lo reversed).  degenerate flags the rows that are zero
-    everywhere: the rows where both of the first two labels hold, or where
-    the type I test finds both its vectors zero.
+    against lo reversed).  The census decides the real labels here; a
+    single spec's classifier asks only for the pivots.
 
     The arrays are complex128 holding Gaussian integers whose parts are
     below 2^k in modulus, k = :func:`toepnorm.toeplitz._limb_bits` <= 25,
@@ -164,13 +158,11 @@ def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> tuple:
     """
     if real:
         rlo = lo[:, ::-1]
-        tests = np.stack([up == lo, up == -lo, up == rlo, up == -rlo], axis=1).all(axis=2)
-        return tests[:, 0] & tests[:, 1], tests
+        return np.stack([up == lo, up == -lo, up == rlo, up == -rlo], axis=1).all(axis=2)
     # Row 2i tests spec i for type I, row 2i + 1 for type II.
     b, n = lo.shape
     den = np.stack([lo.conj(), lo[:, ::-1]], axis=1).reshape(2 * b, n)
-    tests = _ratio_pivots(np.repeat(up, 2, axis=0), den).reshape(b, 2)
-    return tests[:, 0] == _ANY_FIT, tests
+    return _ratio_pivots(np.repeat(up, 2, axis=0), den).reshape(b, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,41 +236,34 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
     """The direct route on one spec: (degenerate, fits).
 
     fits holds a :class:`_Fit` per condition: the four labels in
-    _LABEL_ORDER when ``real``, else type I and type II.  An exact spec
-    takes both from one :func:`_direct_tests` call on its array; a type I
-    or type II witness is the spec's own quotient at the kernel's pivot p,
-    a_-(p+1) / conj(a_(p+1)) or a_-(p+1) / a_(N-p), and a failing exact
-    condition carries the kernel's verdict as its reason.  A float spec is
-    degenerate when every off-diagonal value is zero at the absolute floor
-    (scale 0); its conditions are fitted on its array at scale
-    ``spec.max_abs``, the witnesses by :func:`_ratio_fit`.
+    _LABEL_ORDER when ``real``, else type I and type II.  An exact spec is
+    degenerate when every off-diagonal value is zero, a float one when each
+    is zero at the absolute floor (scale 0); both store a_0 as zero.  The
+    labels are the factors +-1, fitted by :func:`_fit` in both domains, on
+    an exact spec's values or a float one's array at scale
+    ``spec.max_abs``.  An exact type I or type II witness is the spec's own
+    quotient at the pivot p of one :func:`_direct_tests` call,
+    a_-(p+1) / conj(a_(p+1)) or a_-(p+1) / a_(N-p), and a failing one
+    carries the kernel's verdict as its reason; a float one is fitted by
+    :func:`_ratio_fit`.
     """
     up, lo = _halves(spec)
+    d, n = spec.array, spec.n
     if spec.is_exact:
-        n, d = spec.n, spec.array
-        degenerate, tests = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], real)
-        tests = tests[0].tolist()
-        if real:  # a_-k = +-a_k, then a_-k = +-a_{N+1-k}
-            fits = [
-                _Fit(f, ok, ("entry", None) if ok else ("reason", "does not fit"))
-                for f, ok in zip((1, -1) * 2, tests)
-            ]
-        else:
-            p1, p2 = tests
-            miss = _Fit(None, False, ("reason", "no unit-modulus factor fits"))
-            fits = [
-                miss if p1 < 0 else _Fit(up[p1] / lo[p1].conjugate(), True, ("entry", None)),
-                miss if p2 < 0 else _Fit(up[p2] / lo[-1 - p2], True, ("entry", None)),
-            ]
-        return bool(degenerate[0]), fits
-    d = spec.array  # a_0 is stored as zero, which is zero at every threshold
-    degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
-    scale = spec.max_abs
-    if real:
-        return degenerate, [
-            _fit(up, src, f, policy, scale) for src in (lo, lo[::-1]) for f in (1.0, -1.0)
-        ]
-    return degenerate, [_ratio_fit(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
+        degenerate, scale, signs = not d.any(), 0.0, (1, -1)
+    else:
+        degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
+        scale, signs = spec.max_abs, (1.0, -1.0)
+    if real:  # a_-k = +-a_k, then a_-k = +-a_{N+1-k}
+        return degenerate, [_fit(up, s, f, policy, scale) for s in (lo, lo[::-1]) for f in signs]
+    if not spec.is_exact:
+        return degenerate, [_ratio_fit(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
+    p1, p2 = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], False)[0].tolist()
+    miss = _Fit(None, False, ("reason", "no unit-modulus factor fits"))
+    return degenerate, [
+        miss if p1 < 0 else _Fit(up[p1] / lo[p1].conjugate(), True, ("entry", None)),
+        miss if p2 < 0 else _Fit(up[p2] / lo[-1 - p2], True, ("entry", None)),
+    ]
 
 
 def _violation(message: str, spec, report, names, fits) -> TheoremViolation:

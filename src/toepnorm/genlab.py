@@ -169,7 +169,8 @@ def generate(req: GenRequest) -> ToeplitzSpec:
 def perturb(spec: ToeplitzSpec, magnitude: float, seed: int = 0) -> ToeplitzSpec:
     """Add an independent complex bump of modulus <= magnitude off-diagonal.
 
-    Approximate domain only; a_0 is left untouched.
+    Approximate domain only; a_0 is left untouched.  Bumped entries that
+    :func:`toepnorm.toeplitz.from_diagonals` refuses raise its SpecFormatError.
     """
     if spec.is_exact:
         raise ValueError("perturb operates on approximate specs only")
@@ -235,20 +236,20 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
     a_1..a_n) in blocks of stacked arrays of the grid's exact values
     (:func:`toepnorm.toeplitz._stack_array`, held as float64 in a real
-    census of one-limb values), where the residual scan and
-    the dense oracle each give every spec a verdict.  The specs both find
-    normal are gathered, at least a block's worth at a time, for the
-    direct route's stacked kernel (:func:`toepnorm.classify._direct_tests`),
-    which finds each degenerate or gives its real labels when
-    ``real_only``, otherwise its type I and type II pivots.  They are
-    counted from its output and never built.  After the walk, two kinds of
-    spec are built and go through the per-spec classifier, in row-major
-    order: those on which the two verdicts disagree, and normal
-    non-degenerate ones the kernel finds no label or witness for.  Each
-    lands in ``violations``, expected to stay empty: as a theorem violation
-    where the classifier raises one, else as a scan/oracle disagreement or
-    as a disagreement of the stacked and per-spec direct routes, which run
-    the same kernel.
+    census of one-limb values), where the residual scan and the dense
+    oracle each give every spec a verdict.  The specs both find normal are
+    gathered, at least a block's worth at a time: a row of zeros is
+    degenerate, and the direct route's stacked kernel
+    (:func:`toepnorm.classify._direct_tests`) gives each row its real labels
+    when ``real_only``, otherwise its type I and type II pivots.  They are
+    counted from these and never built.  After the walk, two kinds of spec
+    are built and go through the per-spec classifier, in row-major order:
+    those on which the two verdicts disagree, and normal non-degenerate ones
+    the kernel finds no label or witness for.  Each lands in
+    ``violations``, expected to stay empty: as a theorem violation where the
+    classifier raises one, else as a scan/oracle disagreement or as a
+    disagreement of the stacked and per-spec direct routes (the same kernel
+    in a complex census, :func:`toepnorm.classify._fit` in a real one).
     """
     values = tuple(req.value_set)
     if not values:
@@ -295,7 +296,8 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
             continue
         stack, at = np.concatenate(held), np.concatenate(held_at)
         held, held_at, held_count = [], [], 0
-        degen, tests = _direct_tests(stack[:, n - 1 :: -1], stack[:, n + 1 :], req.real_only)
+        tests = _direct_tests(stack[:, n - 1 :: -1], stack[:, n + 1 :], req.real_only)
+        degen = ~stack.any(axis=1)
         holds = (tests if req.real_only else tests >= 0) & ~degen[:, None]
         found = holds.any(axis=1)
         decided = degen | found

@@ -10,6 +10,7 @@ the dense products are formed.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import operator
@@ -94,17 +95,10 @@ class ToeplitzSpec:
     def as_approx(self) -> "ToeplitzSpec":
         """The same matrix with every entry converted to complex.
 
-        Raises :class:`SpecFormatError` when the entries lie beyond the
-        float range the analyses accept (see :func:`_float_range_problem`).
+        Built by :func:`from_diagonals`, so it raises :class:`SpecFormatError`
+        when the entries lie beyond the float range the analyses accept.
         """
-        try:
-            diag = tuple(complex(z) for z in self.diag)
-        except OverflowError as exc:
-            raise SpecFormatError(f"entries beyond float range for n={self.n}") from exc
-        problem = _float_range_problem(self.n, diag)
-        if problem:
-            raise SpecFormatError(problem)
-        return ToeplitzSpec(self.n, diag)
+        return from_diagonals(_complex_entries(self.diag, self.n))
 
     @functools.cached_property
     def cleared(self) -> tuple:
@@ -158,7 +152,10 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
     The entry domain is normalized: any float or complex forces the whole
     matrix into the approximate domain; otherwise entries stay exact, as
     Fraction when every imaginary part is zero and GaussianRational else.
-    Entries that are already canonical are kept as they are.
+    Entries that are already canonical are kept as they are.  Float entries
+    must convert, be finite and, a_0 aside, lie in the range
+    :func:`spec_from_json` accepts (:func:`_float_range_problem`); else
+    :class:`SpecFormatError` says which does not.
     """
     entries = tuple(entries)
     if len(entries) < 3 or len(entries) % 2 == 0:
@@ -168,13 +165,28 @@ def from_diagonals(entries: Sequence) -> ToeplitzSpec:
     for e in entries:
         if isinstance(e, bool) or not isinstance(e, _SCALAR_TYPES):
             raise SpecFormatError(f"not a scalar entry: {e!r}")
+    n = (len(entries) - 1) // 2
     if any(isinstance(e, (float, complex)) for e in entries):
-        diag = tuple(complex(e) for e in entries)
+        diag = _complex_entries(entries, n)
+        bad = next((z for z in diag if not cmath.isfinite(z)), None)
+        if bad is not None:
+            raise SpecFormatError(f"non-finite entry: {bad!r}")
+        problem = _float_range_problem(n, diag)
+        if problem:
+            raise SpecFormatError(problem)
     elif all(e.imag == 0 for e in entries):
         diag = tuple(map(_as_fraction, entries))
     else:
         diag = tuple(map(_as_gaussian, entries))
-    return ToeplitzSpec((len(entries) - 1) // 2, diag)
+    return ToeplitzSpec(n, diag)
+
+
+def _complex_entries(entries, n: int) -> tuple:
+    """The entries as complex, or :class:`SpecFormatError` where one overflows."""
+    try:
+        return tuple(map(complex, entries))
+    except OverflowError as exc:
+        raise SpecFormatError(f"entries beyond float range for n={n}") from exc
 
 
 def _as_fraction(e) -> Fraction:

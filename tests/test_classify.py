@@ -461,7 +461,7 @@ def reference_real_labels(ur, lr):
 
 
 def _pivot_of(witness):
-    return {None: classify._NO_FIT, ANY: classify._ANY_FIT}.get(witness, witness)
+    return classify._NO_FIT if witness is None or witness is ANY else witness
 
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -529,11 +529,10 @@ class TestStackedDirectKernel:
         big = max(map(abs, re + im))
         assert arr.dtype == (complex if big < 2 ** toeplitz._limb_bits(n) else object)
         arr = arr.reshape(len(rows), 2 * n)
-        degenerate, tests = classify._direct_tests(arr[:, :n], arr[:, n:], real)
+        tests = classify._direct_tests(arr[:, :n], arr[:, n:], real)
         assert tests.shape == (len(rows), 4 if real else 2)
-        for (up, lo), degen, got in zip(rows, degenerate.tolist(), tests.tolist()):
+        for (up, lo), got in zip(rows, tests.tolist()):
             (ur, ui), (lr, li) = zip(*up), zip(*lo)
-            assert degen == (not any(ur + ui + lr + li))
             if real:
                 assert got == reference_real_labels(ur, lr)
             else:
@@ -547,23 +546,77 @@ class TestStackedDirectKernel:
         zero, one = 0j, 1 + 0j
         up = np.array([[zero, zero], [one, zero], [zero, one], [2 * one, 2 * one]])
         lo = np.array([[zero, zero], [zero, zero], [zero, one], [one, one]])
-        degenerate, tests = classify._direct_tests(up, lo, False)
-        assert degenerate.tolist() == [True, False, False, False]
-        assert tests.tolist() == [
-            [classify._ANY_FIT, classify._ANY_FIT],
+        # Both vectors zero: every ratio fits, and the kernel names no pivot.
+        assert classify._direct_tests(up, lo, False).tolist() == [
+            [classify._NO_FIT, classify._NO_FIT],
             [classify._NO_FIT, classify._NO_FIT],
             [1, classify._NO_FIT],
             [classify._NO_FIT, classify._NO_FIT],
         ]
         # a_-k = a_k at N = 3 with a_1 = 0: the pivot is the first nonzero a_k.
         row = np.array([[zero, one, one]])
-        assert classify._direct_tests(row, row, False)[1].tolist() == [[1, classify._NO_FIT]]
+        assert classify._direct_tests(row, row, False).tolist() == [[1, classify._NO_FIT]]
 
     def test_empty_stack(self):
         empty = np.zeros((0, 3), complex)
         for real in (False, True):
-            degenerate, tests = classify._direct_tests(empty, empty, real)
-            assert degenerate.shape == (0,) and len(tests) == 0
+            tests = classify._direct_tests(empty, empty, real)
+            assert tests.shape == (0, 4 if real else 2)
+
+
+LABEL_KINDS = (
+    Kind.SYMMETRIC,
+    Kind.SKEW_SYMMETRIC,
+    Kind.CIRCULANT,
+    Kind.SKEW_CIRCULANT,
+    Kind.UNCONSTRAINED,
+)
+# 2^40 and 10^30 clear to integers beyond one limb, held in object arrays.
+LABEL_SCALES = (1, Fraction(1, 3), 2**40, Fraction(10**30, 7))
+
+
+@st.composite
+def exact_label_specs(draw):
+    """Exact specs of a real kind or unconstrained, N in 1..12, some with one entry changed.
+
+    Some are zero off the diagonal, and some have one nonzero entry there.
+    """
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from(LABEL_SCALES))
+    kind, seed = draw(st.sampled_from(LABEL_KINDS)), draw(st.integers(0, 999))
+    diag = list(generate(GenRequest(n, kind, seed=seed, value_scale=scale, exact=True)).diag)
+    shape = draw(st.sampled_from(("kept", "changed", "zero", "one nonzero")))
+    if shape in ("zero", "one nonzero"):
+        diag = [diag[n] if k == n else 0 for k in range(2 * n + 1)]
+    if shape in ("changed", "one nonzero"):
+        value = draw(st.sampled_from([0, 1, -1, scale, -scale, GaussianRational(0, scale)]))
+        diag[draw(st.integers(0, 2 * n))] = value
+    return from_diagonals(diag)
+
+
+class TestExactLabelPaths:
+    """The per-spec label fits against the census kernel's real mode."""
+
+    @given(exact_label_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_fits_agree_with_the_kernel(self, spec):
+        n, d = spec.n, spec.array
+        degenerate, fits = classify._direct(spec, POLICY, True)
+        kernel = classify._direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], True)[0].tolist()
+        up, lo = spec.upper, spec.lower
+        assert degenerate == (not any(up + lo))
+        sources = (lo, lo, lo[::-1], lo[::-1])
+        for fit, holds, sign, src in zip(fits, kernel, (1, -1, 1, -1), sources):
+            misses = [k for k in range(n) if up[k] != sign * src[k]]
+            assert fit.holds == holds == (not misses)
+            assert fit.factor == sign
+            assert fit.detail == ("entry", misses[0] if misses else None)
+
+    @pytest.mark.parametrize("scale", LABEL_SCALES[2:])
+    def test_large_scales_run_on_object_arrays(self, scale):
+        for kind in LABEL_KINDS:
+            spec = generate(GenRequest(n=12, kind=kind, seed=0, value_scale=scale, exact=True))
+            assert spec.array.dtype == object
 
 
 class TestDirectRoute:

@@ -231,15 +231,12 @@ def forced_normal(monkeypatch):
     monkeypatch.setattr(classify, "_scan_report", normal)
 
 
-def kernel_misses(monkeypatch, real):
-    """The exact direct kernel finds no fit: for the real labels when real, else for both types."""
+def kernel_misses(monkeypatch):
+    """The exact direct kernel finds no type I or type II pivot."""
     original = classify._direct_tests
 
-    def missed(up, lo, labels_call):
-        degenerate, tests = original(up, lo, labels_call)
-        if labels_call == real:
-            tests = np.zeros_like(tests) if real else np.full_like(tests, classify._NO_FIT)
-        return degenerate, tests
+    def missed(up, lo, real):
+        return np.full_like(original(up, lo, real), classify._NO_FIT)
 
     monkeypatch.setattr(classify, "_direct_tests", missed)
 
@@ -290,7 +287,7 @@ class TestForcedViolation:
 
     def test_direct_exact_beyond_float_range(self, spec_file, capsys, monkeypatch):
         """The 400-digit type II spec of the document set reports without converting to float."""
-        kernel_misses(monkeypatch, real=False)
+        kernel_misses(monkeypatch)
         got = self.violation(spec_file, capsys, _wide_spec(), "direct")
         miss = {"factor": None, "reason": "no unit-modulus factor fits"}
         assert got == {name: miss for name in TYPES}
@@ -321,16 +318,23 @@ class TestForcedViolation:
         forced_normal(monkeypatch)
         complex_classifies(monkeypatch)
         got = self.violation(spec_file, capsys, [2, 0, 1], "direct")
+        # a_-1 = 2 misses +-a_1 = +-1 at the first entry, for every label.
         assert got == {
-            label: {"factor": {"re": f, "im": "0"}, "reason": "does not fit"}
+            label: {"factor": {"re": f, "im": "0"}, "entry": 0}
             for label, f in zip(LABELS, ("1", "-1", "1", "-1"))
         }
 
     def test_real_exact_beyond_float_range(self, spec_file, capsys, monkeypatch):
-        kernel_misses(monkeypatch, real=True)
-        big = 10**400 + 7
-        got = self.violation(spec_file, capsys, [big, 0, big], "direct")
-        assert list(got) == LABELS and {c["reason"] for c in got.values()} == {"does not fit"}
+        """400-digit entries report the first entry each label misses, without floats."""
+        forced_normal(monkeypatch)
+        complex_classifies(monkeypatch)
+        b, c, d = 10**400 + 7, 3 * 10**400, 2 * 10**400 + 1
+        # a_-1 = a_1 = b and a_-2 = c != +-a_2 = +-d: symmetric up to entry 1.
+        got = self.violation(spec_file, capsys, [c, b, 0, b, d], "direct")
+        assert got == {
+            label: {"factor": {"re": f, "im": "0"}, "entry": k}
+            for label, f, k in zip(LABELS, ("1", "-1", "1", "-1"), (1, 0, 0, 0))
+        }
 
     @pytest.mark.parametrize("route", ["direct", "proof"])
     def test_zero_threshold(self, spec_file, capsys, monkeypatch, route):
@@ -526,11 +530,11 @@ class TestOneDirectKernelCallPerClassifier:
         return calls
 
     def test_classify_both(self, calls, spec_file, capsys, kind, classifiers):
-        """Each classifier makes one _direct call, which runs the exact kernel once."""
+        """Each classifier makes one _direct call; only classify_complex's runs the kernel."""
         spec = generate(GenRequest(n=4, kind=kind, seed=1, exact=True))
         code, doc, _ = run_cli(["classify", spec_file(spec_to_json(spec)), "--route", "both"], capsys)
         assert code == 0 and doc["agree"] and doc["direct"]["verdict"] == "Classified"
-        assert calls == {"_direct": classifiers, "_direct_tests": classifiers}
+        assert calls == {"_direct": classifiers, "_direct_tests": 1}
 
     def test_float_classify_both(self, calls, spec_file, capsys, kind, classifiers):
         """A float spec's one _direct call per classifier runs no exact kernel."""
@@ -766,14 +770,14 @@ class TestEnumerate:
     def test_stacked_kernel_miss_is_a_violation(self, monkeypatch, capsys):
         """A normal spec the stacked kernel leaves undecided is never counted quietly.
 
-        The per-spec classifier runs the same kernel, so where it decides the
-        spec the two direct routes disagree.
+        The per-spec classifier fits its labels and decides it, so the two
+        direct routes disagree.
         """
 
         def first_row_dropped(up, lo, real, _original=genlab._direct_tests):
-            degenerate, tests = _original(up, lo, real)
+            tests = _original(up, lo, real)
             tests[0] = False if real else classify._NO_FIT
-            return degenerate, tests
+            return tests
 
         monkeypatch.setattr(genlab, "_direct_tests", first_row_dropped)
         code, doc, _ = run_cli(["enumerate", "--n", "2", "--values", "int2", "--real"], capsys)

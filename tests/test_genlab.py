@@ -23,7 +23,13 @@ from toepnorm.genlab import (
 )
 from toepnorm.normality import check, fast_max_residual
 from toepnorm.classify import TheoremViolation, Verdict
-from toepnorm.scalar import GaussianRational, ScalarPolicy, abs_sq, clear_denominators
+from toepnorm.scalar import (
+    GaussianRational,
+    ScalarPolicy,
+    SpecFormatError,
+    abs_sq,
+    clear_denominators,
+)
 from toepnorm.toeplitz import (
     _FLOAT_RANGE,
     commutator_norm,
@@ -161,6 +167,11 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(fraction_spec_approx, -1.0)
 
+    @pytest.mark.parametrize("magnitude", [1e300, math.inf, math.nan])
+    def test_bump_the_analyses_cannot_take_is_refused(self, fraction_spec_approx, magnitude):
+        with pytest.raises(SpecFormatError):
+            perturb(fraction_spec_approx, magnitude)
+
     def test_bump_is_bounded_and_leaves_a0(self):
         spec = generate(GenRequest(n=5, kind=Kind.CIRCULANT, seed=7))
         bumped = perturb(spec, 1e-6, seed=3)
@@ -226,9 +237,9 @@ class TestEnumerate:
         seen = []
 
         def recording(up, lo, real, _original=genlab._direct_tests):
-            out = _original(up, lo, real)
-            seen.extend(zip(up.tolist(), lo.tolist(), *(x.tolist() for x in out)))
-            return out
+            tests = _original(up, lo, real)
+            seen.extend(zip(up.tolist(), lo.tolist(), tests.tolist()))
+            return tests
 
         monkeypatch.setattr(genlab, "_direct_tests", recording)
         enumerate_and_verify(EnumRequest(n=n, value_set=values, real_only=real_only))
@@ -241,16 +252,18 @@ class TestEnumerate:
                 row = grid[list(combo)]
                 wants.append((row[n - 1 :: -1].tolist(), row[n:].tolist(), spec))
         assert len(seen) == len(wants)
-        for (up, lo, degenerate, tests), (want_up, want_lo, spec) in zip(seen, wants):
+        for (up, lo, tests), (want_up, want_lo, spec) in zip(seen, wants):
             assert up == want_up and lo == want_lo
             if real_only:
                 res = classify.classify_real(spec, ScalarPolicy())
                 labels = {label for label, ok in zip(classify._LABEL_ORDER, tests) if ok}
-                assert degenerate or labels == res.labels
             else:
                 res = classify.classify_complex(spec, ScalarPolicy())
                 assert [p >= 0 for p in tests] == [res.type_I is not None, res.type_II is not None]
-            assert degenerate == (res.verdict is Verdict.DEGENERATE)
+            degenerate = res.verdict is Verdict.DEGENERATE
+            assert degenerate == (not any(up + lo))
+            if real_only:  # a zero row fits every label
+                assert labels == (set(classify._LABEL_ORDER) if degenerate else res.labels)
 
     def test_agreeing_specs_are_never_built(self, monkeypatch):
         """Only a spec whose verdicts disagree is built and classified per spec."""
@@ -439,12 +452,12 @@ class TestStackedCensus:
         assert seen == {np.dtype(dtype)}
 
     def test_forced_disagreement_and_violation_in_order(self, monkeypatch):
-        """A tampered oracle and a tampered direct kernel reach both censuses alike."""
+        """A tampered oracle reaches both censuses alike; a tampered census kernel is caught."""
         req = EnumRequest(n=2, value_set=INT2, real_only=True)
         # a_-2..a_2 = (1, 2, 0, 2, 1) is symmetric: the oracle is made to see a
         # nonzero commutator entry for it.  (2, -1, 0, 1, -2) is
-        # skew-symmetric: the kernel is made to find no label for it, in the
-        # census's stacked call and in classify_real's call alike.
+        # skew-symmetric: the census's kernel is made to find no label for
+        # it, and classify_real, which fits the labels itself, finds one.
         tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
         original_comm = toeplitz._comm
 
@@ -454,26 +467,33 @@ class TestStackedCensus:
 
         monkeypatch.setattr(toeplitz, "_comm", comm)
         monkeypatch.setattr(genlab, "_comm", comm)
-        original_tests = classify._direct_tests
+        original_tests = genlab._direct_tests
 
         def direct_tests(up, lo, real):
-            degenerate, tests = original_tests(up, lo, real)
+            tests = original_tests(up, lo, real)
             victim = (up == [-1, 2]).all(axis=1) & (lo == [1, -2]).all(axis=1)
             tests[victim] = False
-            return degenerate, tests
+            return tests
 
-        monkeypatch.setattr(classify, "_direct_tests", direct_tests)
         monkeypatch.setattr(genlab, "_direct_tests", direct_tests)
         want = reference_census(req)
-        assert [(v["spec"]["diag"], v["error"]) for v in want["violations"]] == [
-            (spec_to_json(from_diagonals([1, 2, 0, 2, 1]))["diag"],
-             "element-wise and dense-oracle verdicts disagree"),
-            (spec_to_json(from_diagonals([2, -1, 0, 1, -2]))["diag"],
-             "normal real spec earned no structure label"),
-        ]
+        victim = spec_to_json(from_diagonals([2, -1, 0, 1, -2]))
+        want["violations"].append(
+            {"spec": victim, "error": "stacked and per-spec direct routes disagree"}
+        )
+        # The census counts no spec it leaves undecided.
+        want["normal"] -= 1
+        want["classified"] -= 1
+        want["label_histogram"]["SkewSymmetric"] -= 1
         for block in (1, genlab._BLOCK):
             with mock.patch.object(genlab, "_BLOCK", block):
-                assert enum_report_to_json(enumerate_and_verify(req)) == want
+                got = enum_report_to_json(enumerate_and_verify(req))
+            assert [(v["spec"]["diag"], v["error"]) for v in got["violations"]] == [
+                (spec_to_json(from_diagonals([1, 2, 0, 2, 1]))["diag"],
+                 "element-wise and dense-oracle verdicts disagree"),
+                (victim["diag"], "stacked and per-spec direct routes disagree"),
+            ]
+            assert got == want
 
     def test_no_stacked_call_holds_more_than_one_block(self, monkeypatch):
         sizes = {"_table_np": [], "_comm": []}

@@ -87,6 +87,37 @@ class TestConstruction:
         with pytest.raises(SpecFormatError):
             from_diagonals([1, entry, 1])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (math.inf, "non-finite entry"),
+            (complex(0, -math.inf), "non-finite entry"),
+            (math.nan, "non-finite entry"),
+            (1e200, "too large"),
+            (-1e200, "too large"),
+            (10**400, "beyond float range"),
+        ],
+    )
+    @pytest.mark.parametrize("where", [0, 2])  # a_-1, a_1
+    def test_float_entries_the_analyses_cannot_take(self, bad, where, match):
+        diag = [1.0, 0.0, 1.0]
+        diag[where] = bad
+        with pytest.raises(SpecFormatError, match=match):
+            from_diagonals(diag)
+
+    def test_a0_is_outside_the_range_check(self):
+        assert from_diagonals([1.0, 1e200, 1.0]).a0 == 1e200 + 0j
+        for bad in (math.nan, math.inf, 10**400):
+            with pytest.raises(SpecFormatError):
+                from_diagonals([1.0, bad, 1.0])
+
+    def test_as_approx_refuses_what_from_diagonals_refuses(self):
+        with pytest.raises(SpecFormatError, match="beyond float range"):
+            from_diagonals([10**400, 0, 1]).as_approx()
+        with pytest.raises(SpecFormatError, match="too large"):
+            from_diagonals([10**200, 0, 1]).as_approx()
+        assert from_diagonals([1, 10**200, 1]).as_approx().a0 == 1e200 + 0j
+
     def test_direct_dataclass_validation(self):
         with pytest.raises(ValueError):
             ToeplitzSpec(0, (Fraction(0),))
@@ -528,6 +559,28 @@ class TestBulkDecode:
         assert spec.a0 == 1e200 + 0j
         with pytest.raises(SpecFormatError, match="too large"):
             spec_from_json({"n": 1, "diag": [small, small, big]})
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"re": math.nan, "im": 0.0}, "non-finite number in scalar: {'re': nan, 'im': 0.0}"),
+            ({"re": 0.0, "im": -math.inf}, "non-finite number in scalar: {'re': 0.0, 'im': -inf}"),
+            (
+                {"re": 1e200, "im": 0.0},
+                "float entries too large for n=1: largest component 1e+200 exceeds 2.89e+76",
+            ),
+            (
+                {"re": 10**400, "im": 0},
+                f"number out of float range in scalar: {{'re': {10**400}, 'im': 0}}",
+            ),
+        ],
+    )
+    def test_float_refusals_keep_their_messages(self, entry, message):
+        """The decoder's own messages, unchanged by from_diagonals refusing the same values."""
+        one = {"re": 1.0, "im": 0.0}
+        with pytest.raises(SpecFormatError) as info:
+            spec_from_json({"n": 1, "diag": [entry, one, one]})
+        assert str(info.value) == message
 
     def test_first_bad_entry_names_the_error(self):
         doc = {"n": 1, "diag": [{"re": "1", "im": "0"}, {"re": "1/0", "im": "0"}, None]}
