@@ -30,12 +30,17 @@ from .classify import (
     classify_real,
 )
 from .normality import _table_np
-from .scalar import GaussianRational, ScalarPolicy, clear_denominators, rational_unit_circle
+from .scalar import (
+    GaussianRational,
+    ScalarPolicy,
+    SpecFormatError,
+    clear_denominators,
+    rational_unit_circle,
+)
 from .toeplitz import (
     ToeplitzSpec,
     _comm,
     _dense_np,
-    _float_range_problem,
     _stack_array,
     from_diagonals,
     spec_to_json,
@@ -159,21 +164,23 @@ def generate(req: GenRequest) -> ToeplitzSpec:
     else:
         upper = [_draw_complex(rng, scale, req.exact) for _ in range(req.n)]
 
-    diag = list(reversed(upper)) + [0] + lower
-    problem = None if req.exact else _float_range_problem(req.n, diag)
-    if problem:
-        raise ValueError(f"value_scale {req.value_scale!r} is too large: {problem}")
-    return from_diagonals(diag)
+    try:
+        return from_diagonals(list(reversed(upper)) + [0] + lower)
+    except SpecFormatError as exc:
+        raise ValueError(f"value_scale {req.value_scale!r} is too large: {exc}") from exc
 
 
 def perturb(spec: ToeplitzSpec, magnitude: float, seed: int = 0) -> ToeplitzSpec:
     """Add an independent complex bump of modulus <= magnitude off-diagonal.
 
-    Approximate domain only; a_0 is left untouched.  Bumped entries that
+    Approximate domain only; a_0 is left untouched.  A magnitude that is
+    negative, NaN or infinite raises ValueError; bumped entries that
     :func:`toepnorm.toeplitz.from_diagonals` refuses raise its SpecFormatError.
     """
     if spec.is_exact:
         raise ValueError("perturb operates on approximate specs only")
+    if not math.isfinite(magnitude):
+        raise ValueError(f"magnitude must be finite, got {magnitude!r}")
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
     rng = random.Random(seed)

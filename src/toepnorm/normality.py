@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalar import ScalarPolicy
-from .toeplitz import ToeplitzSpec, commutator_norm
+from .toeplitz import ToeplitzSpec, _float_array, commutator_norm
 
 __all__ = [
     "NormalityReport",
@@ -110,14 +110,16 @@ def fast_max_residual(spec: ToeplitzSpec):
 
     Exact mode reports the squared magnitude (in-field); approximate mode the
     plain magnitude.  Ties resolve to the first pair in row-major order.
-    The table of :attr:`ToeplitzSpec.array` is built in blocks of
+    The table of :attr:`ToeplitzSpec.array`, or of its float64 real parts
+    when a float spec has no imaginary part
+    (:func:`toepnorm.toeplitz._float_array`), is built in blocks of
     max(1, 4096 // N) rows; each block's first maximum replaces the running
     one only when strictly larger, so the value and pair are those of one
     scan over the whole table.  An exact spec's table holds its residuals
     times L^2, L the denominator of :attr:`ToeplitzSpec.cleared`.  Every
     call scans; the verdicts read the spec's cached :attr:`ToeplitzSpec._scan`.
     """
-    d, N = spec.array, spec.n
+    d, N = (spec.array if spec.is_exact else _float_array(spec)), spec.n
     pick, best, pair = (_pick_exact, 0, (1, 1)) if spec.is_exact else (_pick_float, -1.0, None)
     # A contiguous copy builds the table faster than the reversed view, same bits.
     lo, up = d[N + 1 :], d[N - 1 :: -1].copy()

@@ -121,11 +121,39 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_scale_beyond_float_range_rejected(self, kind):
-        with pytest.raises(ValueError, match="too large"):
+        refusal = r"^value_scale 1e\+300 is too large: float entries too large for n=2: "
+        with pytest.raises(ValueError, match=refusal) as info:
             generate(GenRequest(n=2, kind=kind, value_scale=1e300))
+        assert type(info.value) is ValueError
         with pytest.raises(ValueError, match="finite"):
             generate(GenRequest(n=2, kind=kind, value_scale=10**400))
         assert generate(GenRequest(n=2, kind=kind, value_scale=10**400, exact=True)).is_exact
+
+    @pytest.mark.parametrize("kind", [Kind.SYMMETRIC, Kind.TYPE_II, Kind.UNCONSTRAINED])
+    def test_scale_just_past_the_range_limit_is_checked_once(self, kind):
+        n, seed = 3, 5
+        unit = generate(GenRequest(n=n, kind=kind, seed=seed))
+        limit = _FLOAT_RANGE / (n + 1)
+        edge = limit / np.abs(np.asarray(unit.diag).view(float)).max()
+        calls = []
+        original = toeplitz._float_range_problem
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        with mock.patch.object(toeplitz, "_float_range_problem", counted):
+            generate(GenRequest(n=n, kind=kind, seed=seed, value_scale=edge * (1 - 2**-30)))
+            assert len(calls) == 1
+            past = edge * (1 + 2**-30)
+            with pytest.raises(ValueError) as info:
+                generate(GenRequest(n=n, kind=kind, seed=seed, value_scale=past))
+            assert len(calls) == 2
+        prefix = f"value_scale {past!r} is too large: float entries too large for n={n}: largest component "
+        message = str(info.value)
+        assert type(info.value) is ValueError and message.startswith(prefix)
+        big, tail = message[len(prefix) :].split(" ", 1)
+        assert limit < float(big) < limit * (1 + 2**-29) and tail == f"exceeds {limit:.3g}"
 
     @given(
         st.integers(1, 8),
@@ -167,10 +195,16 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(fraction_spec_approx, -1.0)
 
-    @pytest.mark.parametrize("magnitude", [1e300, math.inf, math.nan])
+    @pytest.mark.parametrize("magnitude", [1e300])
     def test_bump_the_analyses_cannot_take_is_refused(self, fraction_spec_approx, magnitude):
         with pytest.raises(SpecFormatError):
             perturb(fraction_spec_approx, magnitude)
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_magnitude_is_refused(self, fraction_spec_approx, magnitude):
+        with pytest.raises(ValueError, match=f"^magnitude must be finite, got {magnitude!r}$") as info:
+            perturb(fraction_spec_approx, magnitude)
+        assert type(info.value) is ValueError
 
     def test_bump_is_bounded_and_leaves_a0(self):
         spec = generate(GenRequest(n=5, kind=Kind.CIRCULANT, seed=7))

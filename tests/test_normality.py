@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +391,27 @@ class TestBlockedScan:
         for start in range(0, n, 3):
             part = normality._table_np(lo, up, slice(start, start + 3))
             assert part.tobytes() == np.ascontiguousarray(whole[:, start : start + 3]).tobytes()
+
+
+@st.composite
+def real_float_specs(draw):
+    """Float specs whose off-diagonal entries are real, some with imaginary
+    parts -0.0, and maybe a complex a_0."""
+    spec = draw(float_scan_specs(st.integers(1, 140)))
+    entries = [complex(z.real, draw(st.sampled_from([0.0, -0.0]))) for z in spec.diag]
+    if draw(st.booleans()):
+        entries[spec.n] = complex(draw(st.floats(-4, 4)), draw(st.floats(-4, 4)))
+    return from_diagonals(entries)
+
+
+@given(real_float_specs())
+@settings(max_examples=80, deadline=None)
+def test_real_float_scan_keeps_the_complex_scan_bits(spec):
+    value, pair = fast_max_residual(spec)
+    assert normality._float_array(spec).dtype == float
+    with mock.patch.object(normality, "_float_array", lambda spec: spec.array):
+        want, want_pair = fast_max_residual(spec)
+    assert value.hex() == want.hex() and pair == want_pair
 
 
 class TestOneScanPerSpec:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from toepnorm import toeplitz
-from toepnorm.genlab import GenRequest, Kind, generate
+from toepnorm.genlab import GenRequest, Kind, generate, perturb
 from toepnorm.scalar import GaussianRational, SpecFormatError, scalar_from_json
 from toepnorm.toeplitz import (
     ToeplitzSpec,
@@ -20,7 +20,7 @@ from toepnorm.toeplitz import (
     spec_from_json,
     spec_to_json,
 )
-from references import commutator, entry, materialize
+from references import commutator, dense, entry, materialize
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -361,6 +361,58 @@ class TestExactOracle:
         assert got == want and all(type(x) is int for x in got)
 
 
+def int_commutator(a, b):
+    """a b^H - b^H a in int64 from the parts of integer-valued a and b: (re, im).
+
+    The two-product form, exact while every partial sum stays below 2^63.
+    """
+    ar, ai = a.real.astype(np.int64), a.imag.astype(np.int64)
+    br, bi = b.real.astype(np.int64), b.imag.astype(np.int64)
+    brt, bit = br.swapaxes(-1, -2), bi.swapaxes(-1, -2)
+    re = ar @ brt + ai @ bit - (brt @ ar + bit @ ai)
+    im = ai @ brt - ar @ bit - (brt @ ai - bit @ ar)
+    return re, im
+
+
+@st.composite
+def limb_matrices(draw):
+    """(a, b): dense Toeplitz matrices of integer parts up to one oracle limb.
+
+    Unstacked, in small stacks, or in a census block of 256; complex128, or
+    float64 like a real census; b drawn apart from a, or a itself.  A third
+    of the parts sit at the limb's extremes +-(2^k - 1).
+    """
+    n = draw(st.integers(1, 40))
+    stack = draw(st.sampled_from([(), (3,), (2, 2), (256,)]))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = 2 ** toeplitz._limb_bits(n) - 1
+    shape = stack + (2 * n + 1,)
+
+    def diagonals():
+        parts = rng.integers(-big, big, endpoint=True, size=(2,) + shape)
+        edge = rng.random(parts.shape) < 1 / 3
+        parts[edge] = big * rng.choice([-1, 1], size=int(edge.sum()))
+        d = parts[0].astype(float) if real else parts[0] + 1j * parts[1]
+        return toeplitz._dense_np(np.ascontiguousarray(d), n)
+
+    a = diagonals()
+    return a, (a if draw(st.booleans()) else diagonals())
+
+
+class TestOneProductCommutator:
+    """_comm's one product p - J p^T J against the two-product form."""
+
+    @given(limb_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_on_limb_matrices(self, ab):
+        a, b = ab
+        got = toeplitz._comm(a, b)
+        re, im = int_commutator(a, b)
+        assert got.dtype == a.dtype and got.shape == a.shape
+        assert (got.real == re).all() and (got.imag == im).all()
+
+
 class TestFloatOracleBits:
     @given(
         st.integers(1, 40).flatmap(
@@ -401,14 +453,73 @@ class TestFloatOracleBits:
 
     @staticmethod
     def assert_bits(spec):
-        d = np.asarray(spec.diag, dtype=complex)
-        d[spec.n] = 0
-        i = np.arange(spec.dim)
-        t = d[np.subtract.outer(i, i) + spec.n]
-        th = t.conj().T
-        want = np.linalg.norm(t @ th - th @ t)
-        assert commutator_norm(spec) == float(want)
-        assert commutator(spec) == (t @ th - th @ t).tolist()
+        t = dense(spec)
+        if not t.imag.any():
+            t = t.real.copy()
+        p = t @ t.conj().T
+        one = np.linalg.norm(p - p.T[::-1, ::-1])
+        got = commutator_norm(spec)
+        assert got == float(one)
+        two = float(np.linalg.norm(np.array(commutator(spec))))
+        assert abs(got - two) <= apart_by_rounding(spec, two)
+
+
+U = 2.0**-53
+
+
+def gamma(m):
+    return m * U / (1 - m * U)
+
+
+def rounding_bound(spec, norm):
+    """commutator_norm's bound on |x - ||C||_F| for a float spec, given ||C||_F.
+
+    gamma_(m+2) ||C||_F + (1 + gamma_(m+2)) 7 (N+1)^3 u A^2, m = (N+1)^2,
+    plus (N+1) 2^-536 for underflow, which the docstring excludes: that
+    covers 2m squares that each lose less than 2^-1074, and much more
+    than the underflow of the products.
+    """
+    dim, a = spec.dim, spec.max_abs
+    g = gamma(dim * dim + 2)
+    return g * norm + (1 + g) * 7 * dim**3 * U * a * a + dim * 2.0**-536
+
+
+def apart_by_rounding(spec, y):
+    """How far two values that each meet :func:`rounding_bound` may lie apart,
+    given one of them, y: both lie within the bound of ||C||_F <= y + bound."""
+    dim = spec.dim
+    g = gamma(dim * dim + 2)
+    norm = (y + rounding_bound(spec, 0.0)) / (1 - g)
+    return 2 * rounding_bound(spec, norm)
+
+
+def exact_twin(spec):
+    """The exact spec of a float spec's values (every float is a dyadic rational)."""
+    return from_diagonals(
+        [GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in spec.diag]
+    )
+
+
+class TestFloatOracleBound:
+    """commutator_norm's docstring bound, against the exact commutator."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("bump", [0.0, 1e-9])
+    def test_generated_specs(self, kind, n, bump):
+        spec = generate(GenRequest(n=n, kind=kind, seed=n))
+        if bump:
+            spec = perturb(spec, bump, seed=n)
+        exact = math.sqrt(commutator_norm(exact_twin(spec)))  # within 2u of ||C||_F
+        got = commutator_norm(spec)
+        assert abs(got - exact) <= rounding_bound(spec, exact) + 2 * U * exact
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(spread_complex, min_size=2 * n + 1, max_size=2 * n + 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_spread_exponents(self, entries):
+        spec = from_diagonals(entries)
+        exact = math.sqrt(commutator_norm(exact_twin(spec)))
+        assert abs(commutator_norm(spec) - exact) <= rounding_bound(spec, exact) + 2 * U * exact
 
 
 class TestJson:
