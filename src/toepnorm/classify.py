@@ -146,9 +146,11 @@ def _direct_tests(up: np.ndarray, lo: np.ndarray, real: bool) -> np.ndarray:
     against lo reversed).  The census decides the real labels here; a
     single spec's classifier asks only for the pivots.
 
-    The arrays are complex128 holding Gaussian integers whose parts are
-    below 2^k in modulus, k = :func:`toepnorm.toeplitz._limb_bits` <= 25,
-    or object arrays of exact values.  On complex128 every test is exact:
+    The arrays are float64 or complex128, by the rule of
+    :attr:`toepnorm.toeplitz.ToeplitzSpec.array`, holding Gaussian integers
+    whose parts are below 2^k in modulus, k =
+    :func:`toepnorm.toeplitz._limb_bits` <= 25, or object arrays of exact
+    values.  On float64 or complex128 every test is exact:
     a product of two parts is below 2^50 in modulus, and each part of a
     complex product, and each |z|^2, is a sum of two such products, below
     2^51.  float64 holds every integer below 2^53, and a sum or product
@@ -183,9 +185,9 @@ def _fit(target, source, factor, policy: ScalarPolicy, scale) -> _Fit:
     """Test target[k] = factor * source[k] for every k.
 
     Exact vectors are tuples and must match exactly; the record names the
-    first k that does not.  Float ones are complex128 arrays, and each
-    deviation is held to ``policy.threshold(scale)`` with the bits of
-    Python's ``abs(t - factor * s)``: the parts
+    first k that does not.  Float ones are float64 or complex128 arrays,
+    and each deviation is held to ``policy.threshold(scale)`` with the bits
+    of Python's ``abs(t - factor * s)``: the parts
     re = t.re - (f.re * s.re - f.im * s.im) and
     im = t.im - (f.re * s.im + f.im * s.re), then ``np.hypot(re, im)``.
     numpy's complex128 ``*`` and ``np.abs`` round differently from Python's
@@ -207,29 +209,21 @@ def _fit(target, source, factor, policy: ScalarPolicy, scale) -> _Fit:
     return _Fit(factor, bool(worst <= threshold), ("margin", margin))
 
 
-def _ratio_fit(target, source, policy: ScalarPolicy, scale: float) -> _Fit:
-    """:func:`_fit` of float vectors at c = target[p] / source[p].
+def _ratio_fit(target, source, quotient, policy: ScalarPolicy, scale: float) -> _Fit:
+    """:func:`_fit` of float vectors at c = quotient(p).
 
     p is the largest |source[p]|, the first on a tie, where rounding
     perturbs the ratio least (np.hypot of the parts is Python's abs, bit
-    for bit).  A zero source[p] or a c off the unit circle is the reason.
+    for bit), and quotient(p) is target[p] / source[p] on the spec's own
+    values.  A zero source[p] or a c off the unit circle is the reason.
     """
     p = int(np.argmax(np.hypot(source.real, source.imag)))
-    d = complex(source[p])
-    if policy.is_zero(d, scale):
+    if policy.is_zero(complex(source[p]), scale):
         return _Fit(None, False, ("reason", "zero pivot"))
-    c = complex(target[p]) / d
+    c = quotient(p)
     if not policy.is_unit_modulus(c):
         return _Fit(c, False, ("reason", "not unit-modulus"))
     return _fit(target, source, c, policy, scale)
-
-
-def _halves(spec: ToeplitzSpec) -> tuple:
-    """(a_-1..a_-N, a_1..a_N): an exact spec's values, or views of a float one's array."""
-    if spec.is_exact:
-        return spec.upper, spec.lower
-    d, n = spec.array, spec.n
-    return d[n - 1 :: -1], d[n + 1 :]
 
 
 def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
@@ -239,30 +233,35 @@ def _direct(spec: ToeplitzSpec, policy: ScalarPolicy, real: bool) -> tuple:
     _LABEL_ORDER when ``real``, else type I and type II.  An exact spec is
     degenerate when every off-diagonal value is zero, a float one when each
     is zero at the absolute floor (scale 0); both store a_0 as zero.  The
-    labels are the factors +-1, fitted by :func:`_fit` in both domains, on
-    an exact spec's values or a float one's array at scale
-    ``spec.max_abs``.  An exact type I or type II witness is the spec's own
-    quotient at the pivot p of one :func:`_direct_tests` call,
-    a_-(p+1) / conj(a_(p+1)) or a_-(p+1) / a_(N-p), and a failing one
-    carries the kernel's verdict as its reason; a float one is fitted by
-    :func:`_ratio_fit`.
+    labels are the factors +-1, fitted by :func:`_fit` in both domains on
+    :attr:`toepnorm.toeplitz.ToeplitzSpec.array`: an exact spec's cleared
+    integers as Python scalars (the equations are homogeneous), a float
+    one's array at scale ``spec.max_abs``.  A type I or type II witness is
+    the spec's own quotient a_-(p+1) / conj(a_(p+1)) or a_-(p+1) / a_(N-p),
+    which keeps each zero's sign: an exact one at the pivot p of one
+    :func:`_direct_tests` call, a failing one carrying the kernel's verdict
+    as its reason; a float one at the pivot of :func:`_ratio_fit`.
     """
-    up, lo = _halves(spec)
     d, n = spec.array, spec.n
+    up, lo = d[n - 1 :: -1], d[n + 1 :]
     if spec.is_exact:
         degenerate, scale, signs = not d.any(), 0.0, (1, -1)
     else:
         degenerate = bool((np.hypot(d.real, d.imag) <= policy.threshold(0.0)).all())
         scale, signs = spec.max_abs, (1.0, -1.0)
     if real:  # a_-k = +-a_k, then a_-k = +-a_{N+1-k}
+        if spec.is_exact:
+            up, lo = up.tolist(), lo.tolist()
         return degenerate, [_fit(up, s, f, policy, scale) for s in (lo, lo[::-1]) for f in signs]
+    ups, los = spec.upper, spec.lower
+    quotients = (lambda p: ups[p] / los[p].conjugate(), lambda p: ups[p] / los[-1 - p])
     if not spec.is_exact:
-        return degenerate, [_ratio_fit(up, src, policy, scale) for src in (lo.conj(), lo[::-1])]
-    p1, p2 = _direct_tests(d[None, n - 1 :: -1], d[None, n + 1 :], False)[0].tolist()
+        pairs = zip((lo.conj(), lo[::-1]), quotients)
+        return degenerate, [_ratio_fit(up, src, q, policy, scale) for src, q in pairs]
+    pivots = _direct_tests(up[None], lo[None], False)[0].tolist()
     miss = _Fit(None, False, ("reason", "no unit-modulus factor fits"))
     return degenerate, [
-        miss if p1 < 0 else _Fit(up[p1] / lo[p1].conjugate(), True, ("entry", None)),
-        miss if p2 < 0 else _Fit(up[p2] / lo[-1 - p2], True, ("entry", None)),
+        miss if p < 0 else _Fit(q(p), True, ("entry", None)) for p, q in zip(pivots, quotients)
     ]
 
 
@@ -421,7 +420,8 @@ def classify_via_proof(spec: ToeplitzSpec, policy: ScalarPolicy):
         x0=x0, point=w0, s_at_x0=s0, t_at_x0=t0,
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
     )
-    up, lo = _halves(spec)
+    d, n = spec.array, spec.n
+    up, lo = (spec.upper, spec.lower) if spec.is_exact else (d[n - 1 :: -1], d[n + 1 :])
     scale = 0.0 if spec.is_exact else spec.max_abs
     pairs = ((_conj_vec(lo), alpha0), (lo[::-1], beta0))
     fits = [_fit(up, src, c, policy, scale) for src, c in pairs]

@@ -242,11 +242,12 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
 
     Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
     a_1..a_n) in blocks of stacked arrays of the grid's exact values
-    (:func:`toepnorm.toeplitz._stack_array`, held as float64 in a real
-    census of one-limb values), where the residual scan and the dense
-    oracle each give every spec a verdict.  The specs both find normal are
-    gathered, at least a block's worth at a time: a row of zeros is
-    degenerate, and the direct route's stacked kernel
+    (:func:`toepnorm.toeplitz._stack_array`: float64 or complex128 by the
+    rule of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`, so real values
+    run real with or without ``real_only``), where the residual scan and
+    the dense oracle each give every spec a verdict.  The specs both find
+    normal are gathered, at least a block's worth at a time: a row of zeros
+    is degenerate, and the direct route's stacked kernel
     (:func:`toepnorm.classify._direct_tests`) gives each row its real labels
     when ``real_only``, otherwise its type I and type II pivots.  They are
     counted from these and never built.  After the walk, two kinds of spec
@@ -280,8 +281,6 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     violations = []
     halves = list(itertools.product(values, repeat=n))
     grid = _stack_array(clear_denominators(values), n)
-    if req.real_only and grid.dtype == complex:
-        grid = grid.real.copy()  # the same integers, so every kernel runs real
     half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
     # Normal rows wait in ``held`` until a block's worth is ready for the
     # direct-route kernel.  ``disagree`` and ``undecided`` collect the row

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalar import ScalarPolicy
-from .toeplitz import ToeplitzSpec, _float_array, commutator_norm
+from .toeplitz import ToeplitzSpec, commutator_norm
 
 __all__ = [
     "NormalityReport",
@@ -62,7 +62,7 @@ def _table_np(lo: np.ndarray, up: np.ndarray, rows=slice(None)) -> np.ndarray:
     return t
 
 
-# Entries of one scan block: 64 KB of complex128, so the block's
+# Entries of one scan block: 64 KB of complex128 at most, so the block's
 # temporaries are reused from request to request instead of being returned
 # to the operating system and faulted in again.
 _BLOCK = 4096
@@ -81,7 +81,8 @@ def _pick_exact(t: np.ndarray, best: int):
     """(|r|^2, flat index) of the block's first largest |r|^2 if above ``best``.
 
     ``t`` holds Gaussian integers, whose Python-int |r|^2 decide.  An object
-    table tries every entry; a complex128 one has exact parts below 2^53
+    table tries every entry; a float64 or complex128 one (the rule of
+    :attr:`toepnorm.toeplitz.ToeplitzSpec.array`) has exact parts below 2^53
     and tries the float |r|^2 at or above F (1 - 2^-49), F their maximum.
     Each term of fl(fl(re^2) + fl(im^2)) is rounded twice by a relative
     u = 2^-53, so it lies within a relative 2^-51 of the exact |r|^2.  With
@@ -110,16 +111,15 @@ def fast_max_residual(spec: ToeplitzSpec):
 
     Exact mode reports the squared magnitude (in-field); approximate mode the
     plain magnitude.  Ties resolve to the first pair in row-major order.
-    The table of :attr:`ToeplitzSpec.array`, or of its float64 real parts
-    when a float spec has no imaginary part
-    (:func:`toepnorm.toeplitz._float_array`), is built in blocks of
+    The table of :attr:`ToeplitzSpec.array`, float64 or complex128 by that
+    attribute's rule (an object array beyond one limb), is built in blocks of
     max(1, 4096 // N) rows; each block's first maximum replaces the running
     one only when strictly larger, so the value and pair are those of one
     scan over the whole table.  An exact spec's table holds its residuals
     times L^2, L the denominator of :attr:`ToeplitzSpec.cleared`.  Every
     call scans; the verdicts read the spec's cached :attr:`ToeplitzSpec._scan`.
     """
-    d, N = (spec.array if spec.is_exact else _float_array(spec)), spec.n
+    d, N = spec.array, spec.n
     pick, best, pair = (_pick_exact, 0, (1, 1)) if spec.is_exact else (_pick_float, -1.0, None)
     # A contiguous copy builds the table faster than the reversed view, same bits.
     lo, up = d[N + 1 :], d[N - 1 :: -1].copy()

@@ -119,8 +119,13 @@ class ToeplitzSpec:
     def array(self) -> np.ndarray:
         """The diagonal as the read-only array every kernel reads, a_0 = 0.
 
-        complex128 for a float spec; :func:`_stack_array` of :attr:`cleared`
-        for an exact one.
+        The one place that picks real or complex arithmetic, in both domains:
+        float64 of the real parts when no off-diagonal imaginary part is
+        nonzero, whatever a zero's sign, else complex128; an exact spec's is
+        :func:`_stack_array` of :attr:`cleared`.  On real parts each complex
+        operation of the kernels reduces to the real one, and T T^H is T T^T,
+        one symmetric rank-k update.  The witnesses, which print a zero's
+        sign, are quotients of the spec's own values.
         """
         n = self.n
         if self.is_exact:
@@ -128,6 +133,8 @@ class ToeplitzSpec:
         else:
             d = np.array(self.diag, complex)
             d[n] = 0
+            if not d.imag.any():
+                d = d.real.copy()
         d.flags.writeable = False
         return d
 
@@ -204,19 +211,22 @@ def _as_gaussian(e) -> GaussianRational:
 def _stack_array(cleared: tuple, n: int) -> np.ndarray:
     """Cleared Gaussian integers (re, im, L) as one array the kernels test exactly.
 
-    complex128 when each part is below 2^k, k = :func:`_limb_bits` <= 25:
-    a part of a residual is a sum of 8 products of such parts, so the
-    scan's table stays exact below 2^53; every commutator entry meets the
-    oracle's 2^53 bound; every direct-route test is exact (see
-    :func:`toepnorm.classify._direct_tests`).  Otherwise an object array of
-    Python ints, or of GaussianRationals when a part is imaginary, on which
-    the same expressions run in exact Python arithmetic.
+    The rule of :attr:`ToeplitzSpec.array`: float64 of ``re`` when every
+    ``im`` is 0, else complex128, while each part is below 2^k,
+    k = :func:`_limb_bits` <= 25: a part of a residual is a sum of 8
+    products of such parts, so the scan's table stays exact below 2^53;
+    every commutator entry meets the oracle's 2^53 bound; every
+    direct-route test is exact (see :func:`toepnorm.classify._direct_tests`).
+    Otherwise an object array of Python ints, or of GaussianRationals when a
+    part is imaginary, on which the same expressions run in exact Python
+    arithmetic.
     """
     re, im, _ = cleared
-    if max(map(abs, re + im)) < 1 << _limb_bits(n):
+    if max(map(abs, re + im)) >= 1 << _limb_bits(n):
+        return np.fromiter(map(GaussianRational, re, im) if any(im) else re, object, len(re))
+    if any(im):
         return np.fromiter(map(complex, re, im), complex, len(re))
-    values = map(GaussianRational, re, im) if any(im) else re
-    return np.fromiter(values, object, len(re))
+    return np.fromiter(re, float, len(re))
 
 
 def _dense_np(d: np.ndarray, n: int) -> np.ndarray:
@@ -284,12 +294,12 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
     terms with s < t and D those with s = t: S(S+1)/2 products, not S^2.
     H + H^H and D of one g are summed in int64 by :func:`_group_sum` before
     the shift, so the Python ints see 2S - 1 passes.  S comes from the data;
-    it is 1, and the one limb is :attr:`ToeplitzSpec.array`, unless an
-    integer exceeds 2^k - 1.
+    it is 1, and the one limb is :attr:`ToeplitzSpec.array`, float64 or
+    complex128 by its rule, unless an integer exceeds 2^k - 1.
     """
     re, im, lcm = spec.cleared
     n = spec.n
-    if spec.array.dtype == complex:  # one limb, the usual case
+    if spec.array.dtype != object:  # one limb, the usual case
         t = _dense_np(spec.array, n)
         return _int64(_comm(t, t)).tolist(), lcm * lcm
     m = 2 * n + 1
@@ -312,8 +322,8 @@ def _commutator_int(spec: ToeplitzSpec) -> tuple:
 
 
 def _int64(c: np.ndarray) -> np.ndarray:
-    """A commutator of integers as int64 re, im, re, im, ..., row by row."""
-    return c.view(float).astype(np.int64).ravel()
+    """A float64 or complex128 integer commutator as int64 re, im, ..., row by row."""
+    return c.astype(complex, copy=False).view(float).astype(np.int64).ravel()
 
 
 _GROUP = 511
@@ -354,11 +364,11 @@ def commutator_norm(spec: ToeplitzSpec):
     gets the exact rational norm *squared* instead, since the square root
     generally leaves the field.
 
-    A float spec's matrix is float64 when no entry is imaginary
-    (:func:`_float_array`), else complex128, and its commutator C is formed
-    from one product p = T T^H (:func:`_comm`).  With u = 2^-53,
-    A = max|a_k|, gamma_m = m u / (1 - m u), m = (N+1)^2 and neither
-    underflow nor overflow, the returned value x satisfies
+    The matrix is :attr:`ToeplitzSpec.array`'s, float64 or complex128, and a
+    float spec's commutator C is formed from one product p = T T^H
+    (:func:`_comm`).  With u = 2^-53, A = max|a_k|, gamma_m = m u / (1 - m u),
+    m = (N+1)^2 and neither underflow nor overflow, the returned value x
+    satisfies
 
         |x - ||C||_F| <= gamma_(m+2) ||C||_F + (1 + gamma_(m+2)) 7 (N+1)^3 u A^2
 
@@ -378,21 +388,8 @@ def commutator_norm(spec: ToeplitzSpec):
     if spec.is_exact:
         flat, den = _commutator_int(spec)
         return Fraction(sum(map(operator.mul, flat, flat)), den * den)
-    t = _dense_np(_float_array(spec), spec.n)
+    t = _dense_np(spec.array, spec.n)
     return float(np.linalg.norm(_comm(t, t)))
-
-
-def _float_array(spec: ToeplitzSpec) -> np.ndarray:
-    """A float spec's :attr:`ToeplitzSpec.array`, as a contiguous float64
-    copy of its real parts when no imaginary part is nonzero.
-
-    With every imaginary part zero, each complex operation of the residual
-    scan reduces to the real one on the real parts, so the scan keeps its
-    value and pair bit for bit; and T T^H is T T^T, which numpy forms as
-    one symmetric rank-k update instead of a complex product.
-    """
-    d = spec.array
-    return d if d.imag.any() else np.ascontiguousarray(d.real)
 
 
 # Bound on (N+1) * c, c the largest off-diagonal |re| or |im|, under which

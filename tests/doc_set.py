@@ -15,8 +15,8 @@ and the censuses ``enumerate --n 1|2|3 --values gauss1``, ``enumerate --n 2
 --values int2`` and ``enumerate --n 2|3|4 --values int2 --real``: 1089
 documents.  Float documents are included, and their bits depend on the BLAS
 thread count, so the script pins BLAS to one thread before it imports
-toepnorm; still compare runs made on one machine.  The whole output
-hashes to sha256
+toepnorm; still compare runs made on one machine.  The whole output, whose
+sha256 the script prints on stderr after the document count, hashes to
 96056d36af4fc65a516119fdfb5178c895b4ef6c797b188f38e804fd389b3570 on a
 2-core x86-64 machine with numpy 2.4.6 and its OpenBLAS 0.3.31.
 
@@ -172,12 +172,14 @@ def documents(spec_path: Path):
 
 
 def main() -> int:
-    count = 0
+    count, listing = 0, hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for key, digest in documents(Path(tmp) / "spec.json"):
-            print(key, digest)
+            line = f"{key} {digest}"
+            print(line)
+            listing.update(f"{line}\n".encode())
             count += 1
-    print(f"{count} documents", file=sys.stderr)
+    print(f"{count} documents, sha256 {listing.hexdigest()}", file=sys.stderr)
     return 0
 
 

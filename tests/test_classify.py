@@ -314,7 +314,17 @@ def float_specs(draw):
     its scale, scaled by 2^k (exactly, down to below the absolute floor),
     or has its lower or upper half zeroed.  A boundary spec
     (:func:`boundary_cases`, N 2..64) puts one deviation at the threshold.
+    A real spec may then have some imaginary parts at -0.0.
     """
+    spec = draw(float_shapes())
+    if spec.is_real and draw(st.booleans()):
+        signs = draw(st.lists(st.booleans(), min_size=len(spec.diag), max_size=len(spec.diag)))
+        spec = from_diagonals([complex(z.real, -0.0 if s else 0.0) for z, s in zip(spec.diag, signs)])
+    return spec
+
+
+@st.composite
+def float_shapes(draw):
     n = draw(st.integers(1, 64))
     shape = draw(st.sampled_from(["plain", "perturbed", "scaled", "zero_half", "boundary"]))
     if shape == "boundary":
@@ -345,7 +355,7 @@ class TestFloatDirectRoute:
         assert degenerate == want_degenerate
         assert len(tests) == len(want)
         for got, expected in zip(tests, want):
-            assert got == expected and type(got) is type(expected)
+            assert_same_bits(got, expected)
 
     @given(st.integers(2, 64).flatmap(boundary_cases))
     @settings(max_examples=100, deadline=None)
@@ -527,7 +537,8 @@ class TestStackedDirectKernel:
         arr = toeplitz._stack_array(cleared, n)
         re, im, _ = cleared
         big = max(map(abs, re + im))
-        assert arr.dtype == (complex if big < 2 ** toeplitz._limb_bits(n) else object)
+        one_limb = complex if any(im) else float
+        assert arr.dtype == (one_limb if big < 2 ** toeplitz._limb_bits(n) else object)
         arr = arr.reshape(len(rows), 2 * n)
         tests = classify._direct_tests(arr[:, :n], arr[:, n:], real)
         assert tests.shape == (len(rows), 4 if real else 2)
@@ -594,6 +605,22 @@ def exact_label_specs(draw):
     return from_diagonals(diag)
 
 
+@st.composite
+def bumped_real_specs(draw):
+    """Exact specs of the four real kinds, N 1..12, one off-diagonal entry bumped,
+    whose cleared integers take about 1 to 60 oracle limbs."""
+    n = draw(st.integers(1, 12))
+    k = toeplitz._limb_bits(n)
+    limbs = draw(st.integers(1, 60))
+    scale = Fraction(2 ** (k * limbs - 6), draw(st.sampled_from([1, 3, 10])))
+    kind, seed = draw(st.sampled_from(LABEL_KINDS[:4])), draw(st.integers(0, 999))
+    diag = list(generate(GenRequest(n, kind, seed=seed, value_scale=scale, exact=True)).diag)
+    at = draw(st.integers(0, 2 * n - 1))
+    at += at >= n
+    diag[at] += draw(st.sampled_from([1, -1, scale, Fraction(1, 7)]))
+    return from_diagonals(diag)
+
+
 class TestExactLabelPaths:
     """The per-spec label fits against the census kernel's real mode."""
 
@@ -611,6 +638,17 @@ class TestExactLabelPaths:
             assert fit.holds == holds == (not misses)
             assert fit.factor == sign
             assert fit.detail == ("entry", misses[0] if misses else None)
+
+    @given(bumped_real_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_fits_on_cleared_integers_equal_fits_on_values(self, spec):
+        """The label fits, on spec.array's cleared integers, are _fit's on the spec's own values."""
+        _, fits = classify._direct(spec, POLICY, True)
+        up, lo = spec.upper, spec.lower
+        want = [classify._fit(up, src, f, POLICY, 0.0) for src in (lo, lo[::-1]) for f in (1, -1)]
+        assert [(f.factor, f.holds, f.detail) for f in fits] == [
+            (f.factor, f.holds, f.detail) for f in want
+        ]
 
     @pytest.mark.parametrize("scale", LABEL_SCALES[2:])
     def test_large_scales_run_on_object_arrays(self, scale):

@@ -463,16 +463,17 @@ class TestStackedCensus:
     @pytest.mark.parametrize("n", [1, 2, 16])
     def test_largest_one_limb_grid_is_complex(self, n):
         top = 2 ** toeplitz._limb_bits(n) - 1
-        assert grid_array((Fraction(top, 3), -1), n).dtype == complex
+        assert grid_array((Fraction(top, 3), -1), n).dtype == float
+        assert grid_array((GaussianRational(Fraction(top, 3), 1), -1), n).dtype == complex
         assert grid_array((Fraction(top + 1, 3), -1), n).dtype == object
         assert grid_array((GaussianRational(1, top + 1),), n).dtype == object
 
     @pytest.mark.parametrize(
         "values, real_only, dtype",
-        [(INT2, True, float), (INT2, False, complex), (GAUSS1, False, complex), ((0, 2**40), True, object)],
+        [(INT2, True, float), (INT2, False, float), (GAUSS1, False, complex), ((0, 2**40), True, object)],
     )
     def test_real_census_runs_real(self, monkeypatch, values, real_only, dtype):
-        """A real census of one-limb values holds its grid as float64."""
+        """A grid of real one-limb values is float64, with or without real_only."""
         seen = set()
         for name in ("_table_np", "_comm", "_direct_tests"):
 

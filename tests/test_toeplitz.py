@@ -751,10 +751,16 @@ class TestClearedForm:
             ([GaussianRational(1, 2), 5, Fraction(1, 3)], complex, [3 + 6j, 0j, 1 + 0j]),
             ([2**40, 5, -1], object, [2**40, 0, -1]),
             ([GaussianRational(2**40, 1), 5, 1], object, [GaussianRational(2**40, 1), 0, 1]),
+            ([complex(1, -0.0), 3.5 + 2j, -4.0], float, [1.0, 0.0, -4.0]),
+            ([Fraction(1, 2), 5, 3], float, [1.0, 0.0, 6.0]),
         ],
     )
     def test_array_holds_the_cleared_integers(self, entries, dtype, want):
-        """One read-only array per spec, a_0 = 0: floats, or the cleared integers."""
+        """One read-only array per spec, a_0 = 0: floats, or the cleared integers.
+
+        float64 when no off-diagonal imaginary part is nonzero, whatever the
+        sign of a zero or a_0's imaginary part.
+        """
         spec = from_diagonals(entries)
         assert spec.array is spec.array and not spec.array.flags.writeable
         assert spec.array.dtype == dtype and spec.array.tolist() == want
