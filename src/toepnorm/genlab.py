@@ -2,10 +2,11 @@
 
 Generators draw the free coefficients from a seeded RNG and derive the
 dependent side from the requested structure, so every constrained kind is
-normal by construction (exactly so in the exact domain).  Enumeration walks
-a finite value grid over all off-diagonal assignments, takes the residual
-scan's and the dense oracle's verdicts on all of them in stacked numpy
-passes, classifies every normal instance, and reports counts plus any
+normal by construction (exactly so in the exact domain).  Enumeration covers
+every off-diagonal assignment over a finite value grid: the residual scan
+and the dense oracle each run once per half-spec, lower and upper, in
+stacked numpy passes, a join of the halves gives every spec both verdicts,
+and the census classifies every normal instance and reports counts plus any
 theorem violations (expected: none, ever).
 """
 
@@ -215,49 +216,51 @@ class EnumReport:
 
 
 def _is_exact_value(v) -> bool:
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, (Rational, GaussianRational))
+    return not isinstance(v, bool) and isinstance(v, (Rational, GaussianRational))
 
 
-# Specs per stacked block, so that a census holds the same arrays however
-# many specs it walks: a few hundred KB at N = 2.
+# Normal specs per call of the direct route's stacked kernel, so that its
+# arrays stay a few hundred KB at N = 2 however many a census finds.
 _BLOCK = 256
 
 
-def _stacked_verdicts(d: np.ndarray, n: int) -> tuple:
-    """Scan and oracle normality verdicts for a stack of diagonals.
+def _join(parts: np.ndarray) -> set:
+    """Numbers i * H + j, H = parts.shape[1], of the pairs with parts[0][j] == -parts[1][i].
 
-    ``d`` is (B, 2n+1) with a_0 = 0.  The scan finds a spec normal when its
-    residual table is all zero, the oracle when its commutator is; the two
-    share nothing beyond ``d``.
+    Float64 and complex128 rows key by their bytes after ``+ 0.0``, so a -0.0
+    from the negation matches +0.0; object rows by their tuple.
     """
-    scan = (_table_np(d[:, n + 1 :], d[:, n - 1 :: -1]) == 0).all(axis=(1, 2))
-    t = _dense_np(d, n)
-    return scan, (_comm(t, t) == 0).all(axis=(1, 2))
+    lo, up = parts.reshape(2, parts.shape[1], -1)
+
+    def keys(rows):
+        return map(tuple, rows.tolist()) if rows.dtype == object else map(bytes, rows + 0.0)
+
+    at = {}
+    for j, key in enumerate(keys(lo)):
+        at.setdefault(key, []).append(j)
+    return {i * len(lo) + j for i, key in enumerate(keys(-up)) for j in at.get(key, ())}
 
 
 def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     """Check and classify every assignment of the 2N off-diagonal values.
 
-    Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
-    a_1..a_n) in blocks of stacked arrays of the grid's exact values
-    (:func:`toepnorm.toeplitz._stack_array`: float64 or complex128 by the
-    rule of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`, so real values
-    run real with or without ``real_only``), where the residual scan and
-    the dense oracle each give every spec a verdict.  The specs both find
-    normal are gathered, at least a block's worth at a time: a row of zeros
-    is degenerate, and the direct route's stacked kernel
-    (:func:`toepnorm.classify._direct_tests`) gives each row its real labels
-    when ``real_only``, otherwise its type I and type II pivots.  They are
-    counted from these and never built.  After the walk, two kinds of spec
-    are built and go through the per-spec classifier, in row-major order:
-    those on which the two verdicts disagree, and normal non-degenerate ones
-    the kernel finds no label or witness for.  Each lands in
-    ``violations``, expected to stay empty: as a theorem violation where the
-    classifier raises one, else as a scan/oracle disagreement or as a
-    disagreement of the stacked and per-spec direct routes (the same kernel
-    in a complex census, :func:`toepnorm.classify._fit` in a real one).
+    Exact domain only.  Spec k = i * H + j, H = |G|^N for the grid G, has
+    upper half i (a_-n..a_-1) and lower half j (a_1..a_n): row-major order.
+    The scan and the oracle each take the H lower and the H upper halves,
+    the other side zero, in one stack of the grid's exact values
+    (:func:`toepnorm.toeplitz._stack_array`).  Both verdicts split by half
+    (:func:`toepnorm.normality._table_np`, :func:`toepnorm.toeplitz._comm`),
+    so a spec is normal to one when its lower part equals its upper part
+    negated, which one join finds: O(H N^3 + normal specs) work, O(H N^2)
+    memory.  The specs both find normal go ``_BLOCK`` at a time to
+    :func:`toepnorm.classify._direct_tests`, are counted from its labels or
+    pivots (a row of zeros is degenerate), and are never built.  Specs on
+    which the verdicts disagree, and normal non-degenerate ones the kernel
+    finds nothing for, are built and go, in row-major order, through the
+    per-spec classifier into ``violations`` (expected empty): as the theorem
+    violation it raises, else as a scan/oracle disagreement or one of the
+    stacked and per-spec direct routes (the same kernel in a complex census,
+    :func:`toepnorm.classify._fit` in a real one).
     """
     values = tuple(req.value_set)
     if not values:
@@ -282,26 +285,18 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     halves = list(itertools.product(values, repeat=n))
     grid = _stack_array(clear_denominators(values), n)
     half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
-    # Normal rows wait in ``held`` until a block's worth is ready for the
-    # direct-route kernel.  ``disagree`` and ``undecided`` collect the row
-    # numbers that take the per-spec path after the walk.
-    held, held_at, held_count = [], [], 0
-    disagree, undecided = set(), []
-    for start in range(0, total, _BLOCK):
-        rows, cols = np.divmod(np.arange(start, min(start + _BLOCK, total)), len(halves))
-        d = np.zeros((len(rows), 2 * n + 1), grid.dtype)
-        d[:, :n] = half_arr[rows]
-        d[:, n + 1 :] = half_arr[cols]
-        scan, oracle = _stacked_verdicts(d, n)
-        disagree.update((start + np.flatnonzero(scan != oracle)).tolist())
-        both = np.flatnonzero(scan & oracle)
-        held.append(d[both])
-        held_at.append(start + both)
-        held_count += len(both)
-        if held_count < _BLOCK and start + _BLOCK < total:
-            continue
-        stack, at = np.concatenate(held), np.concatenate(held_at)
-        held, held_at, held_count = [], [], 0
+    d = np.zeros((2, len(halves), 2 * n + 1), grid.dtype)
+    lo, up = d  # row j of lo is lower half j, row i of up upper half i
+    lo[:, n + 1 :] = up[:, :n] = half_arr
+    scan = _join(_table_np(d[..., n + 1 :], d[..., n - 1 :: -1]))
+    t = _dense_np(d, n)
+    oracle = _join(_comm(t, t))
+    disagree, undecided = scan ^ oracle, []
+    both = np.array(sorted(scan & oracle), np.int64)
+    for start in range(0, len(both), _BLOCK):
+        at = both[start : start + _BLOCK]
+        rows, cols = np.divmod(at, len(halves))
+        stack = up[rows] + lo[cols]
         tests = _direct_tests(stack[:, n - 1 :: -1], stack[:, n + 1 :], req.real_only)
         degen = ~stack.any(axis=1)
         holds = (tests if req.real_only else tests >= 0) & ~degen[:, None]
@@ -315,17 +310,14 @@ def enumerate_and_verify(req: EnumRequest) -> EnumReport:
     for k in sorted(disagree.union(undecided)):
         i, j = divmod(k, len(halves))
         spec = from_diagonals(halves[i] + (0,) + halves[j])
-        agree = k not in disagree
         try:
             classify(spec, policy)
         except TheoremViolation as exc:
             error = str(exc)
         else:
-            error = (
-                "stacked and per-spec direct routes disagree"
-                if agree
-                else "element-wise and dense-oracle verdicts disagree"
-            )
+            error = "element-wise and dense-oracle verdicts disagree"
+            if k not in disagree:
+                error = "stacked and per-spec direct routes disagree"
         violations.append({"spec": spec_to_json(spec), "error": error})
     return EnumReport(
         total=total,

@@ -53,6 +53,9 @@ def _table_np(lo: np.ndarray, up: np.ndarray, rows=slice(None)) -> np.ndarray:
     Rows are m, columns n.  Leading axes stack specs, each with its own
     table.  The four outer products are accumulated in place, in the order
     of the formula, which gives the same bits as ``o1 - o2 + o3 - o4``.
+
+    The table splits by half, ``_table_np(lo, up) = _table_np(lo, 0) +
+    _table_np(0, up)``: terms 1 and 3 read only a_1..a_N, 2 and 4 only a_-1..a_-N.
     """
     clo, cup = lo.conj(), up.conj()
     t = _outer(lo[..., rows], clo)

@@ -80,11 +80,10 @@ class ToeplitzSpec:
     def is_exact(self) -> bool:
         return not isinstance(self.diag[0], complex)
 
-    @property
+    @functools.cached_property
     def is_real(self) -> bool:
-        if self.is_exact:
-            return isinstance(self.diag[0], Fraction)
-        return all(z.imag == 0.0 for z in self.diag)
+        """Every off-diagonal imaginary part is zero, of either sign; a_0 is ignored."""
+        return all(z.imag == 0 for z in self.diag[: self.n] + self.diag[self.n + 1 :])
 
     @functools.cached_property
     def max_abs(self) -> float:
@@ -257,6 +256,11 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of two entries of p has parts at most 4(N+1) B^2, the bound that
     :func:`_limb_bits` keeps below 2^53.  Object arrays of exact values
     take the same expressions in Python arithmetic.
+
+    With T = L + U, L strictly lower and U strictly upper triangular,
+    ``_comm(T, T) = _comm(L, L) + _comm(U, U)``: [L, U^H] = [U, L^H] = 0,
+    because lower-triangular Toeplitz matrices are polynomials in the shift
+    Z and upper-triangular ones polynomials in Z^T, so each pair commutes.
 
     Works on the last two axes, so stacked matrices give stacked
     commutators.

@@ -5,14 +5,32 @@ with the kernels the tests check against it.  Not a test module: pytest
 does not collect it.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from toepnorm.classify import _best_sample
+from toepnorm.classify import (
+    _LABEL_ORDER,
+    TheoremViolation,
+    _best_sample,
+    _direct_tests,
+    classify_complex,
+    classify_real,
+)
+from toepnorm.genlab import EnumReport, EnumRequest, _is_exact_value
+from toepnorm.normality import _table_np
 from toepnorm.polyid import eval_at_point, trig_coeffs
-from toepnorm.scalar import GaussianRational, ScalarPolicy
-from toepnorm.toeplitz import ToeplitzSpec, _commutator_int
+from toepnorm.scalar import GaussianRational, ScalarPolicy, clear_denominators
+from toepnorm.toeplitz import (
+    ToeplitzSpec,
+    _comm,
+    _commutator_int,
+    _dense_np,
+    _stack_array,
+    from_diagonals,
+    spec_to_json,
+)
 
 
 def entry(spec: ToeplitzSpec, k):
@@ -242,3 +260,121 @@ def float_proof(spec: ToeplitzSpec, policy: ScalarPolicy) -> tuple:
         for src, c in ((conj, alpha0), (tuple(reversed(lo)), beta0))
     ]
     return False, witnesses, (x0, w0, s0, t0, alpha, beta, alpha0, beta0)
+
+
+# Specs per stacked block, so that a census holds the same arrays however
+# many specs it walks: a few hundred KB at N = 2.
+_BLOCK = 256
+
+
+def _stacked_verdicts(d: np.ndarray, n: int) -> tuple:
+    """Scan and oracle normality verdicts for a stack of diagonals.
+
+    ``d`` is (B, 2n+1) with a_0 = 0.  The scan finds a spec normal when its
+    residual table is all zero, the oracle when its commutator is; the two
+    share nothing beyond ``d``.
+    """
+    scan = (_table_np(d[:, n + 1 :], d[:, n - 1 :: -1]) == 0).all(axis=(1, 2))
+    t = _dense_np(d, n)
+    return scan, (_comm(t, t) == 0).all(axis=(1, 2))
+
+
+def census_walk(req: EnumRequest) -> EnumReport:
+    """The census as :func:`toepnorm.genlab.enumerate_and_verify` took it
+    before the half-spec join: both verdicts on every spec.
+
+    Exact domain only.  The specs are walked row-major over (a_-n..a_-1,
+    a_1..a_n) in blocks of stacked arrays of the grid's exact values
+    (:func:`toepnorm.toeplitz._stack_array`: float64 or complex128 by the
+    rule of :attr:`toepnorm.toeplitz.ToeplitzSpec.array`, so real values
+    run real with or without ``real_only``), where the residual scan and
+    the dense oracle each give every spec a verdict.  The specs both find
+    normal are gathered, at least a block's worth at a time: a row of zeros
+    is degenerate, and the direct route's stacked kernel
+    (:func:`toepnorm.classify._direct_tests`) gives each row its real labels
+    when ``real_only``, otherwise its type I and type II pivots.  They are
+    counted from these and never built.  After the walk, two kinds of spec
+    are built and go through the per-spec classifier, in row-major order:
+    those on which the two verdicts disagree, and normal non-degenerate ones
+    the kernel finds no label or witness for.  Each lands in
+    ``violations``, expected to stay empty: as a theorem violation where the
+    classifier raises one, else as a scan/oracle disagreement or as a
+    disagreement of the stacked and per-spec direct routes (the same kernel
+    in a complex census, :func:`toepnorm.classify._fit` in a real one).
+    """
+    values = tuple(req.value_set)
+    if not values:
+        raise ValueError("value_set must not be empty")
+    if not all(_is_exact_value(v) for v in values):
+        raise ValueError("enumeration values must be exact scalars")
+    if req.real_only and any(v.imag != 0 for v in values):
+        raise ValueError("real enumeration needs real values")
+    n = req.n
+    total = len(values) ** (2 * n)
+    if total > req.budget:
+        raise ValueError(
+            f"{len(values)}^{2 * n} = {total} instances exceed the budget "
+            f"of {req.budget}; raise the budget to at least {total} to proceed"
+        )
+    policy = ScalarPolicy()
+    classify = classify_real if req.real_only else classify_complex
+    keys = [label.value for label in _LABEL_ORDER] if req.real_only else ["type_I", "type_II"]
+    normal = classified = degenerate = 0
+    counts = np.zeros(len(keys), np.int64)
+    violations = []
+    halves = list(itertools.product(values, repeat=n))
+    grid = _stack_array(clear_denominators(values), n)
+    half_arr = grid[np.array(list(itertools.product(range(len(values)), repeat=n)))]
+    # Normal rows wait in ``held`` until a block's worth is ready for the
+    # direct-route kernel.  ``disagree`` and ``undecided`` collect the row
+    # numbers that take the per-spec path after the walk.
+    held, held_at, held_count = [], [], 0
+    disagree, undecided = set(), []
+    for start in range(0, total, _BLOCK):
+        rows, cols = np.divmod(np.arange(start, min(start + _BLOCK, total)), len(halves))
+        d = np.zeros((len(rows), 2 * n + 1), grid.dtype)
+        d[:, :n] = half_arr[rows]
+        d[:, n + 1 :] = half_arr[cols]
+        scan, oracle = _stacked_verdicts(d, n)
+        disagree.update((start + np.flatnonzero(scan != oracle)).tolist())
+        both = np.flatnonzero(scan & oracle)
+        held.append(d[both])
+        held_at.append(start + both)
+        held_count += len(both)
+        if held_count < _BLOCK and start + _BLOCK < total:
+            continue
+        stack, at = np.concatenate(held), np.concatenate(held_at)
+        held, held_at, held_count = [], [], 0
+        tests = _direct_tests(stack[:, n - 1 :: -1], stack[:, n + 1 :], req.real_only)
+        degen = ~stack.any(axis=1)
+        holds = (tests if req.real_only else tests >= 0) & ~degen[:, None]
+        found = holds.any(axis=1)
+        decided = degen | found
+        normal += int(decided.sum())
+        degenerate += int(degen.sum())
+        classified += int(found.sum())
+        counts += holds.sum(axis=0)
+        undecided += at[~decided].tolist()
+    for k in sorted(disagree.union(undecided)):
+        i, j = divmod(k, len(halves))
+        spec = from_diagonals(halves[i] + (0,) + halves[j])
+        agree = k not in disagree
+        try:
+            classify(spec, policy)
+        except TheoremViolation as exc:
+            error = str(exc)
+        else:
+            error = (
+                "stacked and per-spec direct routes disagree"
+                if agree
+                else "element-wise and dense-oracle verdicts disagree"
+            )
+        violations.append({"spec": spec_to_json(spec), "error": error})
+    return EnumReport(
+        total=total,
+        normal=normal,
+        classified=classified,
+        degenerate=degenerate,
+        violations=tuple(violations),
+        label_histogram={key: count for key, count in zip(keys, counts.tolist()) if count},
+    )

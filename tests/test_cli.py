@@ -585,19 +585,40 @@ class TestOneNormalityCheckPerRequest:
         [(["--values", "gauss1"], 81), (["--values", "int2", "--real"], 25)],
     )
     def test_enumerate_once_per_spec(self, monkeypatch, capsys, check_calls, argv, specs):
-        """The census takes no per-spec check: the stacked kernels see each spec once."""
+        """The census takes no per-spec check: the stacked kernels see each half once per side.
+
+        At n = 1 a grid of sqrt(specs) values has as many halves on each side.
+        """
         seen = {"_table_np": 0, "_comm": 0}
         for name in seen:
 
             def counted(*arrays, _name=name, _original=getattr(genlab, name)):
-                seen[_name] += len(arrays[0])
+                seen[_name] += math.prod(arrays[0].shape[: -2 if _name == "_comm" else -1])
                 return _original(*arrays)
 
             monkeypatch.setattr(genlab, name, counted)
         code, doc, _ = run_cli(["enumerate", "--n", "1", *argv], capsys)
         assert code == 0 and doc["total"] == specs
         assert check_calls == []
-        assert seen == {"_table_np": specs, "_comm": specs}
+        halves = math.isqrt(specs)
+        assert seen == {"_table_np": 2 * halves, "_comm": 2 * halves}
+
+
+class TestDiagonalInvariance:
+    """a_0 is ignored by every analysis, so no document reads it."""
+
+    @pytest.mark.parametrize("a0", [0.5 + 0.5j, complex(-3, -0.0), -2j])
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_float_documents(self, spec_file, capsys, n, kind, a0):
+        spec = generate(GenRequest(n=n, kind=kind, seed=n))
+        diag = list(spec.diag)
+        diag[n] = a0
+        moved = from_diagonals(diag)
+        assert moved.is_real == spec.is_real
+        for command in [*COMMANDS, ["classify", "--route", "proof"]]:
+            docs = [run_cli([*command, spec_file(spec_to_json(s))], capsys) for s in (spec, moved)]
+            assert docs[0] == docs[1]
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import GAUSS1, INT2
+from references import census_walk
 from toepnorm import classify, genlab, normality, toeplitz
 from toepnorm.genlab import (
     EnumRequest,
@@ -225,6 +226,35 @@ class TestPerturb:
         assert value > 1e-10 * bumped.n * bumped.max_abs ** 2
 
 
+def bump_lower_half(monkeypatch, lower):
+    """Add 1 at entry (0, N) of the census's commutator of one lower half.
+
+    The bump is not Hermitian, so that commutator equals no negated upper
+    half's, and every spec with this lower half (a_1..a_N) is non-normal to
+    the census's oracle alone.
+    """
+    n = len(lower)
+    half = toeplitz._dense_np(np.array([0] * (n + 1) + list(lower), float), n)
+    bump = np.zeros((n + 1, n + 1))
+    bump[0, n] = 1
+    original_comm = genlab._comm
+
+    def comm(a, b):
+        return original_comm(a, b) + (a == half).all(axis=(-2, -1))[..., None, None] * bump
+
+    monkeypatch.setattr(genlab, "_comm", comm)
+
+
+def scan_normal_with_lower_half(values, lower):
+    """The specs of the grid with this lower half that the scan finds normal, row-major."""
+    n = len(lower)
+    specs = (
+        from_diagonals(upper + (0,) + tuple(lower))
+        for upper in itertools.product(values, repeat=n)
+    )
+    return [spec for spec in specs if check(spec, ScalarPolicy()).is_normal_fast]
+
+
 class TestEnumerate:
     def test_gauss1_n1_census(self):
         report = enumerate_and_verify(EnumRequest(n=1, value_set=GAUSS1))
@@ -301,6 +331,7 @@ class TestEnumerate:
 
     def test_agreeing_specs_are_never_built(self, monkeypatch):
         """Only a spec whose verdicts disagree is built and classified per spec."""
+        want = [spec.diag for spec in scan_normal_with_lower_half(INT2, (2, 1))]
         built, classified = [], []
         original_init = toeplitz.ToeplitzSpec.__post_init__
 
@@ -323,19 +354,34 @@ class TestEnumerate:
             report = enumerate_and_verify(req)
             assert report.normal > 0 and report.violations == ()
         assert built == [] and classified == []
-        # (1, 2, 0, 2, 1) is symmetric; the oracle is made to see a nonzero
-        # commutator entry for it.
-        tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
-        original_comm = genlab._comm
-
-        def comm(a, b):
-            return original_comm(a, b) + (a == tampered).all(axis=(-2, -1))[..., None, None]
-
-        monkeypatch.setattr(genlab, "_comm", comm)
+        bump_lower_half(monkeypatch, (2, 1))
         report = enumerate_and_verify(EnumRequest(n=2, value_set=INT2, real_only=True))
-        assert len(report.violations) == 1
-        assert [spec.diag for spec in built] == [from_diagonals([1, 2, 0, 2, 1]).diag]
-        assert [spec.diag for spec in classified] == [from_diagonals([1, 2, 0, 2, 1]).diag]
+        assert len(want) > 1 and len(report.violations) == len(want)
+        assert [spec.diag for spec in built] == want
+        assert [spec.diag for spec in classified] == want
+
+    @pytest.mark.parametrize(
+        "req, normal, histogram",
+        [
+            (
+                EnumRequest(n=5, value_set=INT2, real_only=True),
+                12201,
+                dict.fromkeys(["Circulant", "SkewCirculant", "SkewSymmetric", "Symmetric"], 3124),
+            ),
+            (
+                EnumRequest(n=4, value_set=GAUSS1, budget=9**8),
+                51201,
+                {"type_I": 26240, "type_II": 26240},
+            ),
+        ],
+    )
+    def test_censuses_beyond_the_walk(self, req, normal, histogram):
+        """Two censuses too large for the walk here, each confirmed once against census_walk."""
+        report = enumerate_and_verify(req)
+        assert report.total == len(req.value_set) ** (2 * req.n)
+        assert (report.normal, report.classified, report.degenerate) == (normal, normal - 1, 1)
+        assert report.violations == ()
+        assert report.label_histogram == histogram
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
@@ -434,6 +480,57 @@ def census_requests(draw):
     return EnumRequest(n=n, value_set=tuple(values), real_only=real_only)
 
 
+@st.composite
+def split_stacks(draw):
+    """A stack of diagonals with a_0 = 0 in float64, complex128 or object arrays.
+
+    Float parts are integers below 2^10, on which the kernels are exact;
+    object arrays hold ints beyond one limb or GaussianRationals of fractions.
+    """
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["float", "complex", "int", "gaussian"]))
+    size = rows * (2 * n + 1)
+    small = st.integers(-(2**10), 2**10)
+    if kind == "float":
+        d = np.array(draw(st.lists(small, min_size=size, max_size=size)), float)
+    elif kind == "complex":
+        parts = draw(st.lists(st.tuples(small, small), min_size=size, max_size=size))
+        d = np.array([complex(*p) for p in parts])
+    else:
+        value = st.integers(-(2**70), 2**70)
+        if kind == "gaussian":
+            value = st.builds(GaussianRational, small_fracs, small_fracs)
+        d = np.empty(size, object)
+        d[:] = draw(st.lists(value, min_size=size, max_size=size))
+    d = d.reshape(rows, 2 * n + 1)
+    d[:, n] = 0
+    return d, n
+
+
+class TestHalfSplit:
+    """Both verdicts split exactly into a lower-only and an upper-only part."""
+
+    @given(split_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_residual_table(self, stack):
+        d, n = stack
+        lo, up = d[:, n + 1 :], d[:, n - 1 :: -1]
+        zero = np.zeros_like(lo)
+        whole = normality._table_np(lo, up)
+        assert np.array_equal(whole, normality._table_np(lo, zero) + normality._table_np(zero, up))
+
+    @given(split_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_commutator(self, stack):
+        d, n = stack
+        lo, up = np.zeros_like(d), np.zeros_like(d)
+        lo[:, n + 1 :], up[:, :n] = d[:, n + 1 :], d[:, :n]
+        t, low, high = (toeplitz._dense_np(x, n) for x in (d, lo, up))
+        whole = toeplitz._comm(t, t)
+        assert np.array_equal(whole, toeplitz._comm(low, low) + toeplitz._comm(high, high))
+
+
 class TestStackedCensus:
     """The stacked census against the per-spec reference loop."""
 
@@ -442,6 +539,7 @@ class TestStackedCensus:
     def test_matches_reference(self, req, block):
         with mock.patch.object(genlab, "_BLOCK", block):
             got = enum_report_to_json(enumerate_and_verify(req))
+        assert got == enum_report_to_json(census_walk(req))
         assert got == reference_census(req)
 
     @pytest.mark.parametrize(
@@ -487,21 +585,14 @@ class TestStackedCensus:
         assert seen == {np.dtype(dtype)}
 
     def test_forced_disagreement_and_violation_in_order(self, monkeypatch):
-        """A tampered oracle reaches both censuses alike; a tampered census kernel is caught."""
+        """A tampered half's commutator and a tampered census kernel are both caught."""
         req = EnumRequest(n=2, value_set=INT2, real_only=True)
-        # a_-2..a_2 = (1, 2, 0, 2, 1) is symmetric: the oracle is made to see a
-        # nonzero commutator entry for it.  (2, -1, 0, 1, -2) is
-        # skew-symmetric: the census's kernel is made to find no label for
-        # it, and classify_real, which fits the labels itself, finds one.
-        tampered = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
-        original_comm = toeplitz._comm
-
-        def comm(a, b):
-            hit = (a == tampered).all(axis=(-2, -1))
-            return original_comm(a, b) + hit[..., None, None]
-
-        monkeypatch.setattr(toeplitz, "_comm", comm)
-        monkeypatch.setattr(genlab, "_comm", comm)
+        # The oracle is made to see a non-Hermitian commutator for the lower
+        # half (a_1, a_2) = (2, 1): every spec the scan finds normal with
+        # it is a disagreement.  (2, -1, 0, 1, -2) is skew-symmetric: the
+        # census's kernel is made to find no label for it, and classify_real,
+        # which fits the labels itself, finds one.
+        bump_lower_half(monkeypatch, (2, 1))
         original_tests = genlab._direct_tests
 
         def direct_tests(up, lo, real):
@@ -512,37 +603,49 @@ class TestStackedCensus:
 
         monkeypatch.setattr(genlab, "_direct_tests", direct_tests)
         want = reference_census(req)
-        victim = spec_to_json(from_diagonals([2, -1, 0, 1, -2]))
-        want["violations"].append(
-            {"spec": victim, "error": "stacked and per-spec direct routes disagree"}
-        )
-        # The census counts no spec it leaves undecided.
-        want["normal"] -= 1
-        want["classified"] -= 1
-        want["label_histogram"]["SkewSymmetric"] -= 1
+        # The census counts no spec it leaves undecided or finds in dispute.
+        victim = from_diagonals([2, -1, 0, 1, -2])
+        found = [(victim, "stacked and per-spec direct routes disagree")]
+        disputed = scan_normal_with_lower_half(INT2, (2, 1))
+        found += [(spec, "element-wise and dense-oracle verdicts disagree") for spec in disputed]
+        for spec, _ in found:
+            want["normal"] -= 1
+            want["classified"] -= 1
+            for label in classify.classify_real(spec, ScalarPolicy()).labels:
+                want["label_histogram"][label.value] -= 1
+        row_major = {combo: k for k, combo in enumerate(itertools.product(INT2, repeat=5))}
+        found.sort(key=lambda pair: row_major[pair[0].diag])
+        want["violations"] = [{"spec": spec_to_json(spec), "error": error} for spec, error in found]
+        assert len(disputed) > 1 and all(want["label_histogram"].values())
         for block in (1, genlab._BLOCK):
             with mock.patch.object(genlab, "_BLOCK", block):
                 got = enum_report_to_json(enumerate_and_verify(req))
-            assert [(v["spec"]["diag"], v["error"]) for v in got["violations"]] == [
-                (spec_to_json(from_diagonals([1, 2, 0, 2, 1]))["diag"],
-                 "element-wise and dense-oracle verdicts disagree"),
-                (victim["diag"], "stacked and per-spec direct routes disagree"),
-            ]
             assert got == want
 
     def test_no_stacked_call_holds_more_than_one_block(self, monkeypatch):
-        sizes = {"_table_np": [], "_comm": []}
-        for name in sizes:
+        """Each verdict kernel sees each of the 5^2 halves once per side, and no full spec."""
+        seen = {"_table_np": [], "_comm": []}
 
-            def counted(*arrays, _name=name, _original=getattr(genlab, name)):
-                sizes[_name].append(len(arrays[0]))
-                return _original(*arrays)
+        def table(lo, up, _original=genlab._table_np):
+            sides = lo.reshape(-1, *lo.shape[-2:]), up.reshape(-1, *up.shape[-2:])
+            seen["_table_np"] += zip(*sides)
+            return _original(lo, up)
 
-            monkeypatch.setattr(genlab, name, counted)
+        def comm(a, b, _original=genlab._comm):
+            assert a is b
+            for side in a.reshape(-1, *a.shape[-3:]):  # (a_1..a_N), (a_-1..a_-N) of each row
+                seen["_comm"].append((side[:, 1:, 0], side[:, 0, 1:]))
+            return _original(a, b)
+
+        monkeypatch.setattr(genlab, "_table_np", table)
+        monkeypatch.setattr(genlab, "_comm", comm)
         report = enumerate_and_verify(EnumRequest(n=2, value_set=INT2, real_only=True))
-        for got in sizes.values():
-            assert len(got) > 1 and max(got) <= genlab._BLOCK
-            assert sum(got) == report.total == 5**4
+        assert report.total == 5**4
+        every = sorted(itertools.product(range(-2, 3), repeat=2))
+        zero = [(0, 0)] * len(every)
+        for calls in seen.values():
+            sides = [[sorted(map(tuple, rows.tolist())) for rows in call] for call in calls]
+            assert sorted(sides) == sorted([[every, zero], [zero, every]])
 
     def test_kernel_takes_normal_specs_a_block_at_a_time(self, monkeypatch):
         """Every kernel call but the last holds at least one block, none two."""
