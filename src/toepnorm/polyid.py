@@ -5,8 +5,8 @@ The off-diagonal values define two trigonometric polynomials
     s(x) = sum_{k=1..N} a_k e^{ikx}       (positive frequencies)
     t(x) = sum_{k=1..N} a_{-k} e^{-ikx}   (negative frequencies)
 
-and, for real entries, four algebraic polynomials p, q and their
-reciprocals with the degree-0 term always absent.  Normality is equivalent
+and, for real entries, four algebraic polynomials p, q and their reversed
+windows pr, qr with the degree-0 term always absent.  Normality is equivalent
 to a two-variable product identity in s and t (checked here both sampled
 and coefficient-wise), forces |s(x)| = |t(x)| pointwise, and in the real
 case factors as (p^2 - q^2)(p^2 - qr^2) = 0, so one factor polynomial must
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .toeplitz import ToeplitzSpec
 
 __all__ = [
     "CoeffPoly",
-    "alg_polys",
     "eval_at_point",
     "eval_trig",
     "factor_polys",
@@ -36,9 +36,6 @@ __all__ = [
     "identity8_residual",
     "identity9_residual",
     "is_zero_poly",
-    "poly_mul",
-    "poly_sub",
-    "reciprocal",
     "trig_coeffs",
 ]
 
@@ -74,32 +71,6 @@ class CoeffPoly:
 def trig_coeffs(spec: ToeplitzSpec) -> tuple[CoeffPoly, CoeffPoly]:
     """(s, t): positive-frequency and negative-frequency coefficient views."""
     return CoeffPoly(spec.lower, POS), CoeffPoly(spec.upper, NEG)
-
-
-def reciprocal(p: CoeffPoly) -> CoeffPoly:
-    """Reverse the coefficient window; an involution on any CoeffPoly."""
-    return CoeffPoly(p.coeffs[::-1], p.tag, p.degree_offset)
-
-
-def poly_mul(p: CoeffPoly, q: CoeffPoly) -> CoeffPoly:
-    """Convolution product; degree offsets add (still no low-order terms).
-
-    One numpy convolution in both domains: float coefficients in float64,
-    all others as Python objects, so Fractions stay exact and ints never
-    wrap.
-    """
-    floats = isinstance(p.coeffs[0], float) and isinstance(q.coeffs[0], float)
-    dtype = float if floats else object
-    out = np.convolve(np.array(p.coeffs, dtype), np.array(q.coeffs, dtype)).tolist()
-    return CoeffPoly(tuple(out), POS, p.degree_offset + q.degree_offset)
-
-
-def poly_sub(p: CoeffPoly, q: CoeffPoly) -> CoeffPoly:
-    if p.degree_offset != q.degree_offset or len(p.coeffs) != len(q.coeffs):
-        raise ValueError("can only subtract polynomials over the same window")
-    return CoeffPoly(
-        tuple(a - b for a, b in zip(p.coeffs, q.coeffs)), POS, p.degree_offset
-    )
 
 
 def is_zero_poly(p: CoeffPoly, policy: ScalarPolicy, scale=0.0) -> bool:
@@ -166,30 +137,40 @@ def identity8_coefficient_check(spec: ToeplitzSpec, policy: ScalarPolicy) -> boo
     return normality.is_normal(spec, policy)
 
 
-def _real_coeffs(spec: ToeplitzSpec, values) -> tuple:
-    if spec.is_exact:
-        return tuple(values)
-    return tuple(v.real for v in values)
+def _products(spec: ToeplitzSpec) -> tuple:
+    """(p^2 - q^2, p^2 - qr^2, p*pr - q*qr) of a real spec, over degrees 2..2N.
 
+    Each is a tuple of coefficients convolved from the halves of
+    :attr:`ToeplitzSpec.array`: p = d[N+1:] (a_1..a_N), q = d[N-1::-1]
+    (a_-1..a_-N) and their reversals, qr(x) = x^(N+1) q(1/x).  A float spec's
+    are floats; an exact spec's are Python ints, each L^2 times the
+    coefficient, L = ``spec.cleared[2]``.
 
-def alg_polys(spec: ToeplitzSpec) -> tuple[CoeffPoly, CoeffPoly, CoeffPoly, CoeffPoly]:
-    """(p, q, pr, qr) for a real spec.
-
-    p has coefficients a_1..a_N, q has a_{-1}..a_{-N}; pr and qr are their
-    reciprocals (reversed windows), satisfying qr(x) = x^{N+1} q(1/x).
+    A one-limb exact array is float64 and its parts are below 2^k, with
+    k = :func:`toepnorm.toeplitz._limb_bits`, so 2^2k <= 2^53 / (4N+4).
+    Every sum of a convolution, in any order, is an integer below
+    N 2^2k < 2^51, and every difference of two below 2^52, so float64 holds
+    each one exactly.  Beyond one limb the array holds Python ints and the
+    same expressions run in exact Python arithmetic.
     """
     if not spec.is_real:
-        raise ValueError("algebraic polynomial views require real entries")
-    p = CoeffPoly(_real_coeffs(spec, spec.lower), POS)
-    q = CoeffPoly(_real_coeffs(spec, spec.upper), POS)
-    return p, q, reciprocal(p), reciprocal(q)
+        raise ValueError("the factor identity requires real entries")
+    d, n = spec.array, spec.n
+    p, q, qr = d[n + 1 :], d[n - 1 :: -1], d[:n]
+    p2, cross = np.convolve(p, p), np.convolve(p, p[::-1]) - np.convolve(q, qr)
+    out = p2 - np.convolve(q, q), p2 - np.convolve(qr, qr), cross
+    if spec.is_exact:
+        return tuple(tuple(map(int, x.tolist())) for x in out)
+    return tuple(tuple(x.tolist()) for x in out)
 
 
 def factor_polys(spec: ToeplitzSpec) -> tuple[CoeffPoly, CoeffPoly]:
     """(p^2 - q^2, p^2 - qr^2), each over degrees 2..2N."""
-    p, q, _, qr = alg_polys(spec)
-    p2 = poly_mul(p, p)
-    return poly_sub(p2, poly_mul(q, q)), poly_sub(p2, poly_mul(qr, qr))
+    f1, f2, _ = _products(spec)
+    if spec.is_exact:
+        den = spec.cleared[2] ** 2
+        f1, f2 = (tuple(Fraction(c, den) for c in f) for f in (f1, f2))
+    return CoeffPoly(f1, POS, 2), CoeffPoly(f2, POS, 2)
 
 
 def identity14_check(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
@@ -205,22 +186,17 @@ def identity14_check(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
     return normality.is_normal(spec, policy)
 
 
-def identity16_holds(spec: ToeplitzSpec, policy: ScalarPolicy, factors=None) -> bool:
+def identity16_holds(spec: ToeplitzSpec, policy: ScalarPolicy) -> bool:
     """For a normal real spec, one factor polynomial vanishes identically.
 
     Checks that p^2 - q^2 or p^2 - qr^2 is the zero polynomial and, as a
     sub-check, that p*pr = q*qr coefficient-wise.  Coefficients are compared
-    at scale N * (max|a_k|)^2.  ``factors`` is the spec's
-    :func:`factor_polys`, when the caller has built it already.  A False on
-    a normal input is a theorem-violation diagnostic, not an expected
-    outcome.
+    at scale N * (max|a_k|)^2; an exact spec's are cleared integers, whose
+    zeros are the coefficients' zeros.  A False on a normal input is a
+    theorem-violation diagnostic, not an expected outcome.
     """
-    if not spec.is_real:
-        raise ValueError("the factor identity requires real entries")
     scale = normality.residual_scale(spec)
-    p, q, pr, qr = alg_polys(spec)
-    cross = poly_sub(poly_mul(p, pr), poly_mul(q, qr))
+    f1, f2, cross = (CoeffPoly(c, POS, 2) for c in _products(spec))
     if not is_zero_poly(cross, policy, scale):
         return False
-    f1, f2 = factor_polys(spec) if factors is None else factors
     return is_zero_poly(f1, policy, scale) or is_zero_poly(f2, policy, scale)

@@ -148,17 +148,6 @@ def identity8_residual_at_points(spec: ToeplitzSpec, w, z):
     )
 
 
-def poly_mul_former(a, b) -> list:
-    """The former polyid.poly_mul on two coefficient sequences.
-
-    float64 ``np.convolve`` when both start with a float, else the Python
-    double loop in index order.
-    """
-    if isinstance(a[0], float) and isinstance(b[0], float):
-        return np.convolve(a, b).tolist()
-    return poly_mul_loop(a, b)
-
-
 def poly_mul_loop(a, b) -> list:
     """The convolution of two coefficient sequences by the plain double loop."""
     out = [0] * (len(a) + len(b) - 1)

@@ -620,6 +620,20 @@ class TestDiagonalInvariance:
             docs = [run_cli([*command, spec_file(spec_to_json(s))], capsys) for s in (spec, moved)]
             assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize(
+        "a0", [("1e400", "0"), ("1/3", "1e400"), ("-7/2", "0")], ids=["huge", "huge-im", "small"]
+    )
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_exact_documents(self, spec_file, capsys, n, kind, a0):
+        """An exact a_0 beyond float range changes no document either."""
+        doc = spec_to_json(generate(GenRequest(n=n, kind=kind, seed=n, exact=True)))
+        assert doc["diag"][n] == {"re": "0", "im": "0"}
+        moved = {"n": n, "diag": [*doc["diag"][:n], dict(zip(("re", "im"), a0)), *doc["diag"][n + 1 :]]}
+        for command in [*COMMANDS, ["classify", "--route", "proof"]]:
+            docs = [run_cli([*command, spec_file(d)], capsys) for d in (doc, moved)]
+            assert docs[0] == docs[1]
+
 
 @pytest.fixture
 def clear_calls(monkeypatch):

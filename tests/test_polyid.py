@@ -15,7 +15,7 @@ from toepnorm.polyid import (
     NEG,
     POS,
     CoeffPoly,
-    alg_polys,
+    _products,
     eval_at_point,
     eval_trig,
     factor_polys,
@@ -25,9 +25,6 @@ from toepnorm.polyid import (
     identity8_residual,
     identity9_residual,
     is_zero_poly,
-    poly_mul,
-    poly_sub,
-    reciprocal,
     trig_coeffs,
 )
 from toepnorm.scalar import (
@@ -35,8 +32,8 @@ from toepnorm.scalar import (
     ScalarPolicy,
     rational_unit_circle,
 )
-from toepnorm.toeplitz import from_diagonals
-from references import identity8_residual_at_points, poly_mul_former, poly_mul_loop
+from toepnorm.toeplitz import _limb_bits, from_diagonals
+from references import identity8_residual_at_points, poly_mul_loop
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 coeff_vectors = st.lists(small_fractions, min_size=1, max_size=6)
@@ -61,44 +58,6 @@ class TestCoeffPoly:
         assert s.tag == POS and t.tag == NEG
         assert s.coeffs == type1_spec.lower
         assert t.coeffs == type1_spec.upper
-
-    @given(coeff_vectors)
-    def test_reciprocal_involution(self, coeffs):
-        p = CoeffPoly(tuple(coeffs), POS)
-        assert reciprocal(reciprocal(p)) == p
-
-    def test_poly_mul_known(self):
-        p = CoeffPoly((Fraction(1), Fraction(2)), POS)
-        sq = poly_mul(p, p)
-        assert sq.coeffs == (Fraction(1), Fraction(4), Fraction(4))
-        assert sq.degree_offset == 2
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_poly_mul_matches_former(self, data):
-        """Exact products equal the double loop's in value and type; float ones keep their bits."""
-        scalars = data.draw(
-            st.sampled_from(
-                [
-                    small_fractions,
-                    st.integers(-(2**70), 2**70),
-                    st.builds(GaussianRational, small_fractions, small_fractions),
-                    st.floats(-1e6, 1e6, allow_nan=False),
-                ]
-            )
-        )
-        a, b = (data.draw(st.lists(scalars, min_size=1, max_size=64)) for _ in range(2))
-        got = poly_mul(CoeffPoly(tuple(a), POS), CoeffPoly(tuple(b), POS)).coeffs
-        want = poly_mul_former(a, b)
-        assert list(map(type, got)) == list(map(type, want))
-        assert list(map(repr, got)) == list(map(repr, want))
-
-    def test_poly_sub_window_mismatch(self):
-        p = CoeffPoly((1, 2), POS)
-        with pytest.raises(ValueError):
-            poly_sub(p, CoeffPoly((1,), POS))
-        with pytest.raises(ValueError):
-            poly_sub(p, CoeffPoly((1, 2), POS, degree_offset=2))
 
     def test_is_zero_poly(self):
         zero = CoeffPoly((Fraction(0), Fraction(0)), POS)
@@ -152,13 +111,13 @@ class TestEvaluation:
             return
         p = CoeffPoly(tuple(coeffs), POS)
         n = len(coeffs)
-        lhs = eval_at_point(reciprocal(p), x)
+        lhs = eval_at_point(CoeffPoly(p.coeffs[::-1], POS), x)
         rhs = x ** (n + 1) * eval_at_point(p, 1 / x)
         assert lhs == rhs
 
     def test_reciprocal_evaluation_known(self):
         q = CoeffPoly((Fraction(1), Fraction(2)), POS)
-        assert eval_at_point(reciprocal(q), Fraction(2)) == 8
+        assert eval_at_point(CoeffPoly(q.coeffs[::-1], POS), Fraction(2)) == 8
         assert 8 * eval_at_point(q, Fraction(1, 2)) == 8
 
 
@@ -201,18 +160,24 @@ class TestProductIdentity:
 class TestRealIdentities:
     def test_alg_polys_require_real(self, type1_spec):
         with pytest.raises(ValueError):
-            alg_polys(type1_spec)
+            factor_polys(type1_spec)
         with pytest.raises(ValueError):
             identity14_check(type1_spec, ScalarPolicy())
         with pytest.raises(ValueError):
             identity16_holds(type1_spec, ScalarPolicy())
 
-    def test_alg_polys_views(self, circulant_spec):
-        p, q, pr, qr = alg_polys(circulant_spec)
-        assert p.coeffs == (Fraction(1), Fraction(2))
-        assert q.coeffs == (Fraction(2), Fraction(1))
-        assert pr.coeffs == (Fraction(2), Fraction(1))
-        assert qr.coeffs == (Fraction(1), Fraction(2))
+    def test_alg_polys_views(self):
+        """p = (a_1, a_2) = (1, 2) and q = (a_-1, a_-2) = (3, 5/2), cleared by L = 2.
+
+        p^2 = (1, 4, 4), q^2 = (9, 15, 25/4), qr^2 = (25/4, 15, 9),
+        p*pr = (2, 5, 2) and q*qr = (15/2, 61/4, 15/2).
+        """
+        spec = from_diagonals([Fraction(5, 2), 3, 0, 1, 2])
+        assert reference_views(spec) == ((1, 2), (3, Fraction(5, 2)), (2, 1), (Fraction(5, 2), 3))
+        f1, f2 = factor_polys(spec)
+        assert f1.coeffs == (-8, -11, Fraction(-9, 4))
+        assert f2.coeffs == (Fraction(-21, 4), -11, -5)
+        assert _products(spec) == ((-32, -44, -9), (-21, -44, -20), (-22, -41, -22))
 
     def test_factor_polys_known(self, circulant_spec):
         f1, f2 = factor_polys(circulant_spec)
@@ -237,21 +202,37 @@ class TestRealIdentities:
         assert identity16_holds(circulant_spec.as_approx(), ScalarPolicy())
 
     def test_cross_product_subcheck(self, symmetric_spec):
-        p, q, pr, qr = alg_polys(symmetric_spec)
-        assert poly_mul(p, pr).coeffs == poly_mul(q, qr).coeffs
+        p, q, pr, qr = reference_views(symmetric_spec)
+        assert poly_mul_loop(p, pr) == poly_mul_loop(q, qr)
+        assert _products(symmetric_spec)[2] == (0, 0, 0)
+        assert not identity16_holds(from_diagonals([2, 1, 0, 1, 3]), ScalarPolicy())
 
 
-def _reference_identity16(spec, policy):
-    """(holds, f1 is zero, f2 is zero) with every product by the double loop."""
-    p, q, pr, qr = (c.coeffs for c in alg_polys(spec))
-    scale = residual_scale(spec)
+def reference_views(spec):
+    """(p, q, pr, qr) as tuples of the real parts of a_1..a_N and a_-1..a_-N."""
+    p, q = (tuple(z.real for z in half) for half in (spec.lower, spec.upper))
+    return p, q, p[::-1], q[::-1]
 
-    def zero_diff(u, v):
-        return all(policy.is_zero(x - y, scale) for x, y in zip(u, v))
+
+def reference_products(spec):
+    """(p^2 - q^2, p^2 - qr^2, p*pr - q*qr), every product by the double loop."""
+    p, q, pr, qr = reference_views(spec)
+
+    def diff(u, v):
+        return tuple(x - y for x, y in zip(u, v))
 
     p2 = poly_mul_loop(p, p)
-    f1, f2 = zero_diff(p2, poly_mul_loop(q, q)), zero_diff(p2, poly_mul_loop(qr, qr))
-    return zero_diff(poly_mul_loop(p, pr), poly_mul_loop(q, qr)) and (f1 or f2), f1, f2
+    return (
+        diff(p2, poly_mul_loop(q, q)),
+        diff(p2, poly_mul_loop(qr, qr)),
+        diff(poly_mul_loop(p, pr), poly_mul_loop(q, qr)),
+    )
+
+
+def reference_flags(products, policy, scale):
+    """(holds, f1 is zero, f2 is zero) of the three :func:`reference_products`."""
+    f1, f2, cross = (all(policy.is_zero(c, scale) for c in f) for f in products)
+    return cross and (f1 or f2), f1, f2
 
 
 class TestFloatIdentity16:
@@ -278,6 +259,84 @@ class TestFloatIdentity16:
             is_zero_poly(f1, policy, residual_scale(spec)),
             is_zero_poly(f2, policy, residual_scale(spec)),
         )
-        assert got == _reference_identity16(spec, policy)
+        assert got == reference_flags(reference_products(spec), policy, residual_scale(spec))
         if bump == 0.0:
             assert got[0]
+
+
+@st.composite
+def exact_real_specs(draw):
+    """Exact real specs, N 1..64: one of the four real kinds or unconstrained,
+    with one entry redrawn.
+
+    Parts are integers up to 2^(kS) - 1 for S limbs, k = _limb_bits(N), over a
+    denominator D: at S = 1 up to the largest the float64 path holds, at
+    S >= 2 on the object path.
+    """
+    n = draw(st.integers(1, 64))
+    top = (1 << _limb_bits(n) * draw(st.sampled_from([1, 1, 2, 3, 60]))) - 1
+    part = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+    lower = draw(st.lists(part, min_size=n, max_size=n))
+    structure = draw(st.sampled_from(["sym", "skew", "circ", "skewcirc", "free"]))
+    if structure == "free":
+        upper = draw(st.lists(part, min_size=n, max_size=n))
+    else:
+        sign = -1 if structure.startswith("skew") else 1
+        upper = [sign * z for z in (lower[::-1] if structure.endswith("circ") else lower)]
+    diag = upper[::-1] + [0] + lower
+    if draw(st.booleans()):
+        diag[draw(st.sampled_from([j for j in range(2 * n + 1) if j != n]))] = draw(part)
+    den = draw(st.sampled_from([1, 3, 12]))
+    return from_diagonals([Fraction(z, den) for z in diag])
+
+
+def assert_matches_fraction_loop(spec):
+    """_products, factor_polys and identity16_holds against the double loop on Fractions."""
+    policy, want = ScalarPolicy(), reference_products(spec)
+    lcm = spec.cleared[2]
+    got = _products(spec)
+    assert all(type(c) is int for f in got for c in f)
+    assert tuple(tuple(Fraction(c, lcm * lcm) for c in f) for f in got) == want
+    f1, f2 = factor_polys(spec)
+    assert (f1.coeffs, f2.coeffs) == want[:2]
+    assert all(type(c) is Fraction for c in f1.coeffs + f2.coeffs)
+    assert f1.degree_offset == f2.degree_offset == 2
+    scale = residual_scale(spec)
+    flags = (
+        identity16_holds(spec, policy),
+        is_zero_poly(f1, policy, scale),
+        is_zero_poly(f2, policy, scale),
+    )
+    assert flags == reference_flags(want, policy, scale)
+    return flags
+
+
+class TestExactIdentity16:
+    """Exact identity 16 on the cleared integers gives the Fraction double loop's values."""
+
+    @given(exact_real_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_loop(self, spec):
+        assert_matches_fraction_loop(spec)
+
+    @pytest.mark.parametrize("limbs", [1, 2, 60])
+    @pytest.mark.parametrize("n", [1, 12, 64])
+    def test_largest_parts(self, n, limbs):
+        """Parts at +-(2^(kS) - 1) for S limbs: the float64 path at S = 1, else objects.
+
+        The symmetric spec holds; with a_-1 = 0 it does not.
+        """
+        top = (1 << _limb_bits(n) * limbs) - 1
+        lower = [top * (-1) ** j for j in range(n)]
+        diag = lower[::-1] + [0] + lower
+        for a_minus_1, want in [(lower[0], (True, True)), (0, (False, False))]:
+            diag[n - 1] = a_minus_1
+            spec = from_diagonals(diag)
+            assert (spec.array.dtype == object) == (limbs > 1)
+            assert assert_matches_fraction_loop(spec)[:2] == want
+
+    def test_symmetric_256_holds(self):
+        spec = generate(GenRequest(n=256, kind=Kind.SYMMETRIC, seed=1, exact=True))
+        f1, f2 = factor_polys(spec)
+        assert identity16_holds(spec, ScalarPolicy())
+        assert is_zero_poly(f1, ScalarPolicy()) and not is_zero_poly(f2, ScalarPolicy())
